@@ -67,29 +67,26 @@ OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
 _META_COLS = ["wln_nodes", "wln_angular_nodes", "wln_refinement_delta"]
 
 
-def _fmt(value) -> str:
-    """CSV cell for a scalar: 17 significant digits, 'inf'/'undefined' for
-    the non-finite mu sentinels, empty for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "undefined"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _json_scalar(value):
-    if value is None:
-        return None
+    """JSON value for a scalar: 'inf'/'-inf'/'undefined' for the
+    non-finite mu sentinels, the value itself otherwise."""
     if isinstance(value, float):
         if math.isnan(value):
             return "undefined"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
     return value
+
+
+def _fmt(value) -> str:
+    """CSV cell for a scalar: 17 significant digits, the _json_scalar
+    sentinels for non-finite values, empty for missing."""
+    value = _json_scalar(value)
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def _resolve_out_path(path: str) -> str:

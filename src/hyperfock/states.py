@@ -46,17 +46,7 @@ def log_binomial_real(x: float, n: int) -> float:
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"lower index must be a nonnegative integer, got {n}")
-    total = 0.0
-    for j in range(int(n)):
-        f = x - j
-        if abs(f) <= _ZERO_BAND:
-            return NEGATIVE_INFINITY
-        if f < 0.0:
-            raise NegativeCoefficient(
-                f"C({x}, {n}) has negative factor {f} at offset {j}"
-            )
-        total += math.log(f)
-    return total - float(gammaln(n + 1))
+    return float(_log_binomial_prefix(x, int(n))[int(n)])
 
 
 def _log_binomial_prefix(x: float, n_max: int) -> np.ndarray:

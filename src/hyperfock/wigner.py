@@ -6,6 +6,11 @@ kernels; the oracle integrates the defining transform of the position
 wavefunction numerically. They share no code beyond the state itself, so
 their pointwise agreement is a meaningful correctness check.
 
+One kernel, _laguerre_sum, evaluates every Laguerre sum of the closed form:
+grid and point values, and the radial modes g_a of the separable polar form
+W(r, t) = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat} that the log-negativity
+quadrature uses.
+
 Units are dimensionless oscillator quadratures (hbar = 1), in which the
 vacuum Wigner function peaks at 1/pi.
 
@@ -37,6 +42,9 @@ _ORACLE_MAX_NODES = 4000
 _ORACLE_ACCEPT = 1e-9
 _ORACLE_FAIL = 1e-7
 
+# log-negativity refinement: node doublings allowed before giving up
+_WLN_MAX_DOUBLINGS = 2
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -49,9 +57,11 @@ class QuadratureSpec:
       must still satisfy cutoff >= sqrt(2 <n>) + 5.
     nodes -- radial Gauss-Legendre nodes; angular_nodes -- uniform nodes
       around the circle. The negativity integral is evaluated at this
-      resolution and at double it, and the difference is reported.
+      resolution and again with both counts doubled, up to
+      _WLN_MAX_DOUBLINGS times, until two successive values agree.
     wln_tolerance -- maximum allowed change of the log-negativity under
-      that node doubling before the result is rejected as unconverged.
+      one node doubling; a result that still moves more after the last
+      doubling is rejected as unconverged.
     """
 
     cutoff: float | None = None
@@ -80,49 +90,65 @@ class QuadratureSpec:
         return float(self.cutoff)
 
 
+def _pair_weights(amps: np.ndarray):
+    """Yield (a, w) per Fock offset a, with the weights
+    w_n = conj(c_n) c_{n+a} (-1)^(n+a) sqrt(2^a n!/(n+a)!) of the pairs
+    (n, n + a) in the Wigner double sum, assembled in log space."""
+    d = len(amps)
+    log_fact = gammaln(np.arange(d) + 1.0)
+    for a in range(d):
+        n = np.arange(d - a)
+        log_coeff = 0.5 * (a * _LN2 + log_fact[n] - log_fact[n + a])
+        signs = 1.0 - 2.0 * ((n + a) % 2)
+        yield a, np.conj(amps[: d - a]) * amps[a:] * signs * np.exp(log_coeff)
+
+
+def _laguerre_sum(w: np.ndarray, a: int, z: np.ndarray) -> np.ndarray:
+    """sum_n w_n L_n^a(z) over an array z, generating the generalized
+    Laguerre values by the three-term upward recurrence in n."""
+    acc = w[0] * np.ones(z.shape, dtype=np.result_type(w, z))  # L_0^a = 1
+    l_prev, l_curr = 0.0, np.ones(z.shape)  # L_{-1}^a = 0, L_0^a = 1
+    for n in range(1, len(w)):
+        l_prev, l_curr = (
+            l_curr,
+            ((2.0 * n - 1.0 + a - z) * l_curr - (n - 1.0 + a) * l_prev) / n,
+        )
+        acc += w[n] * l_curr
+    return acc
+
+
 def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     """W(x, p) for an amplitude vector, broadcasting over arrays x and p.
 
     The double Fock sum is folded onto ordered pairs n <= n' = n + a: the
     kernel is Hermitian under index swap, so each off-diagonal pair
-    contributes twice the real part of one term. Per offset a the needed
-    generalized Laguerre values L_n^a are generated by the three-term
-    upward recurrence in n, and the pair coefficients
-    (-1)^(n+a) sqrt(2^a n!/(n+a)!) are assembled in log space.
+    contributes twice the real part of one term, carrying (ip - x)^a.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    d = len(amps)
     r2 = x * x + p * p
     z = 2.0 * r2
-    shape = np.broadcast_shapes(x.shape, p.shape)
-    out = np.zeros(shape)
+    out = np.zeros(z.shape)
     zstep = 1j * p - x
-    zpow = np.ones(shape, dtype=complex)
-    log_fact = gammaln(np.arange(d) + 1.0)
-    for a in range(d):
-        n_top = d - 1 - a
-        n = np.arange(n_top + 1)
-        log_coeff = 0.5 * (a * _LN2 + log_fact[n] - log_fact[n + a])
-        signs = 1.0 - 2.0 * ((n + a) % 2)
-        w = np.conj(amps[: n_top + 1]) * amps[a:d] * signs * np.exp(log_coeff)
-        acc = w[0] * np.ones(shape, dtype=complex)  # L_0^a = 1
-        if n_top >= 1:
-            l_prev = np.ones(shape)
-            l_curr = (1.0 + a) - z
-            acc += w[1] * l_curr
-            for nn in range(2, n_top + 1):
-                l_prev, l_curr = (
-                    l_curr,
-                    ((2.0 * nn - 1.0 + a - z) * l_curr - (nn - 1.0 + a) * l_prev) / nn,
-                )
-                acc += w[nn] * l_curr
-        if a == 0:
-            out += acc.real
-        else:
-            out += 2.0 * (acc * zpow).real
+    zpow = np.ones(z.shape, dtype=complex)
+    for a, w in _pair_weights(amps):
+        acc = _laguerre_sum(w, a, z)
+        out += acc.real if a == 0 else 2.0 * (acc * zpow).real
         zpow = zpow * zstep
     return out * (np.exp(-r2) / math.pi)
+
+
+def _wigner_polar(amps: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """W(r_i cos t_j, r_i sin t_j) as values[i, j]. With ip - x = -r e^{-it}
+    the expansion separates, W = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat}:
+    the radial modes g_a need the radial nodes only, and the angle enters
+    through one matrix product."""
+    z = 2.0 * r * r
+    modes = np.empty((len(r), len(amps)), dtype=complex)
+    for a, w in _pair_weights(amps):
+        modes[:, a] = _laguerre_sum(w, a, z) * (2.0 * (-r) ** a if a else 1.0)
+    phases = np.exp(-1j * np.outer(np.arange(len(amps)), theta))
+    return (modes @ phases).real * (np.exp(-r * r) / math.pi)[:, None]
 
 
 def wigner_point(state: FockState, x: float, p: float) -> float:
@@ -298,55 +324,31 @@ class WlnResult(NamedTuple):
     wigner_integral: float
 
 
-def _radial_mean_profile(probs: np.ndarray, r) -> np.ndarray:
-    """Angular average of W at radius r, up to the positive factor
-    exp(-r^2)/pi: the off-diagonal Fourier modes integrate to zero around
-    the circle, leaving sum_n p_n (-1)^n L_n(2 r^2)."""
-    r = np.asarray(r, dtype=float)
-    z = 2.0 * r * r
-    acc = probs[0] * np.ones_like(z)
-    if len(probs) > 1:
-        l_prev = np.ones_like(z)
-        l_curr = 1.0 - z
-        acc = acc - probs[1] * l_curr
-        for n in range(2, len(probs)):
-            l_prev, l_curr = (
-                l_curr,
-                ((2.0 * n - 1.0 - z) * l_curr - (n - 1.0) * l_prev) / n,
-            )
-            acc = acc + (probs[n] * (1.0 - 2.0 * (n % 2))) * l_curr
-    return acc
-
-
 def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     """Radial panel boundaries for the disk quadrature: the zeros of the
     angular-mean Wigner profile, bisected to high precision.
 
-    For radially symmetric states these are exactly the kink circles of
-    |W|, so panelized quadrature sees only smooth integrands; for other
-    states they still track the near-circular ring structure.
+    Up to the positive factor exp(-r^2)/pi that profile is the a = 0 mode,
+    sum_n p_n (-1)^n L_n(2 r^2): the off-diagonal modes integrate to zero
+    around the circle. For radially symmetric states its zeros are exactly
+    the kink circles of |W|, so panelized quadrature sees only smooth
+    integrands; for other states they still track the near-circular ring
+    structure. All sign changes on a fine probe are bisected together.
     """
-    probs = np.abs(amps) ** 2
+    w = np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2))
     probe = np.linspace(0.0, radius, 4097)
-    g = _radial_mean_profile(probs, probe)
-    crossings = []
+    g = _laguerre_sum(w, 0, 2.0 * probe * probe)
     idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-    for i in idx:
-        lo, hi = probe[i], probe[i + 1]
-        glo = g[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gmid = float(_radial_mean_profile(probs, np.float64(mid)))
-            if gmid == 0.0:
-                lo = hi = mid
-                break
-            if (glo < 0) == (gmid < 0):
-                lo, glo = mid, gmid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-    crossings = [c for c in crossings if 1e-6 < c < radius - 1e-6]
-    return np.concatenate([[0.0], np.asarray(crossings, dtype=float), [radius]])
+    lo, hi, glo = probe[idx], probe[idx + 1], g[idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        gmid = _laguerre_sum(w, 0, 2.0 * mid * mid)
+        same, zero = (glo < 0) == (gmid < 0), gmid == 0.0  # a zero stops there
+        lo, glo = np.where(same | zero, mid, lo), np.where(same, gmid, glo)
+        hi = np.where(same & ~zero, hi, mid)
+    roots = 0.5 * (lo + hi)
+    roots = roots[(roots > 1e-6) & (roots < radius - 1e-6)]
+    return np.concatenate([[0.0], roots, [radius]])
 
 
 def _phase_space_integrals(amps: np.ndarray, radius: float, nodes: int, angular: int):
@@ -371,9 +373,7 @@ def _phase_space_integrals(amps: np.ndarray, radius: float, nodes: int, angular:
     r = np.concatenate(r_parts)
     wr = np.concatenate(w_parts)
     theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
-    values = _wigner_array(
-        amps, r[:, None] * np.cos(theta)[None, :], r[:, None] * np.sin(theta)[None, :]
-    )
+    values = _wigner_polar(amps, r, theta)
     wt = (wr * r)[:, None] * (2.0 * math.pi / angular)
     return float((wt * np.abs(values)).sum()), float((wt * values).sum())
 
@@ -385,34 +385,40 @@ def wigner_log_negativity_detailed(
     metadata.
 
     Natural logarithm throughout. The integral is evaluated at the
-    requested resolution and at double resolution on both axes; the
-    reported value is the finer one and refinement_delta the difference of
-    the two, which must stay within quad.wln_tolerance. wigner_integral
-    carries the signed integral of W on the same grid, a ~1 sanity
-    diagnostic.
+    requested resolution, then with both node counts doubled, up to
+    _WLN_MAX_DOUBLINGS times, until two successive values differ by at
+    most quad.wln_tolerance. The reported value, node counts and
+    refinement_delta are those of the last pass. A NaN or infinite value
+    never passes: it is rejected at once, since it comes from overflow that
+    finer nodes cannot repair. wigner_integral carries the signed integral
+    of W on the same grid, a ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
     radius = quad.radius(state)
     amps = state.amplitudes
-    abs1, _ = _phase_space_integrals(amps, radius, quad.nodes, quad.angular_nodes)
-    abs2, total2 = _phase_space_integrals(
-        amps, radius, 2 * quad.nodes, 2 * quad.angular_nodes
-    )
-    coarse = math.log(abs1)
-    value = math.log(abs2)
-    delta = abs(value - coarse)
-    if delta > quad.wln_tolerance:
-        raise QuadratureNotConverged(
-            f"log-negativity moved by {delta:.3e} (> {quad.wln_tolerance}) when "
-            f"doubling {quad.nodes} x {quad.angular_nodes} nodes"
-        )
-    return WlnResult(
-        value=value,
-        nodes=2 * quad.nodes,
-        angular_nodes=2 * quad.angular_nodes,
-        refinement_delta=delta,
-        abs_integral=abs2,
-        wigner_integral=total2,
+    nodes, angular = quad.nodes, quad.angular_nodes
+    value = math.log(_phase_space_integrals(amps, radius, nodes, angular)[0])
+    for _ in range(_WLN_MAX_DOUBLINGS):
+        if not math.isfinite(value):  # overflow; more nodes cannot repair it
+            raise QuadratureNotConverged(
+                f"log-negativity is {value} at {nodes} x {angular} nodes"
+            )
+        nodes, angular, coarse = 2 * nodes, 2 * angular, value
+        abs_int, total = _phase_space_integrals(amps, radius, nodes, angular)
+        value = math.log(abs_int)
+        delta = abs(value - coarse)
+        if delta <= quad.wln_tolerance:
+            return WlnResult(
+                value=value,
+                nodes=nodes,
+                angular_nodes=angular,
+                refinement_delta=delta,
+                abs_integral=abs_int,
+                wigner_integral=total,
+            )
+    raise QuadratureNotConverged(
+        f"log-negativity moved by {delta:.3e} (> {quad.wln_tolerance}) when "
+        f"doubling {nodes // 2} x {angular // 2} nodes"
     )
 
 

@@ -204,6 +204,20 @@ def test_unconverged_quadrature_exit_code(capsys):
     assert "log-negativity" in err
 
 
+def test_wln_converges_after_second_node_doubling(capsys):
+    # WLN moves by 1.137e-4 from 512 x 256 to 1024 x 512 nodes, above the
+    # default tolerance 1e-4, and by 1.9e-5 one doubling later
+    code, out, _ = run_cli(
+        capsys,
+        "measures", "pahs", "--M", "15", "--eta", "0.930485", "--k", "3",
+        "--L-coeff", "10", "--measures", "wln",
+    )
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert meta["wln_nodes"] == 2048 and meta["wln_angular_nodes"] == 1024
+    assert meta["wln_refinement_delta"] <= 1e-4
+
+
 def test_sweep_flags_unconverged_rows(capsys, tmp_path):
     out_path = tmp_path / "unconverged.csv"
     code, _, _ = run_cli(

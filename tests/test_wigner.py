@@ -19,7 +19,14 @@ from hyperfock import (
     wigner_oracle_point,
     wigner_point,
 )
-from hyperfock.wigner import _oracle_integral, _phase_space_integrals
+from hyperfock import wigner
+from hyperfock.wigner import (
+    _oracle_integral,
+    _phase_space_integrals,
+    _radial_panel_edges,
+    _wigner_array,
+    _wigner_polar,
+)
 from conftest import random_state
 
 INV_PI = 1.0 / math.pi
@@ -191,6 +198,55 @@ def test_wln_convergence_guard():
     s = pahs(HypergeometricParams(40.0, 4, 0.3, 1))
     with pytest.raises(QuadratureNotConverged):
         wigner_log_negativity(s, QuadratureSpec(wln_tolerance=1e-12))
+
+
+def test_wln_rejects_non_finite_result():
+    # the unscaled Laguerre sums overflow for |300>; the NaN integral that
+    # results must end as a convergence failure, never as a value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureNotConverged):
+            wigner_log_negativity_detailed(
+                fock(300, 301), QuadratureSpec(nodes=64, angular_nodes=64)
+            )
+
+
+def _separable_form_states(rng):
+    states = [random_state(rng, int(rng.integers(1, 21))) for _ in range(5)]
+    return states + [pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1))]
+
+
+def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
+    seen = []
+
+    def spy(amps, r, theta):
+        seen.append((r, theta))
+        return _wigner_polar(amps, r, theta)
+
+    monkeypatch.setattr(wigner, "_wigner_polar", spy)
+    for s in _separable_form_states(rng):
+        _phase_space_integrals(s.amplitudes, QuadratureSpec().radius(s), 128, 64)
+        r, theta = seen.pop()
+        polar = _wigner_polar(s.amplitudes, r, theta)
+        cart = _wigner_array(
+            s.amplitudes, r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)
+        )
+        assert np.max(np.abs(polar - cart)) < 1e-13
+
+
+def test_panel_edges_bracket_sign_changes_of_mean_profile(rng):
+    from numpy.polynomial.laguerre import lagval
+
+    for s in _separable_form_states(rng):
+        probs = np.abs(s.amplitudes) ** 2
+        signed = probs * (-1.0) ** np.arange(len(probs))
+        radius = QuadratureSpec().radius(s)
+        edges = _radial_panel_edges(s.amplitudes, radius)
+        assert edges[0] == 0.0 and edges[-1] == radius
+        step = 1e-9 * radius
+        for e in edges[1:-1]:
+            below = lagval(2.0 * (e - step) ** 2, signed)
+            above = lagval(2.0 * (e + step) ** 2, signed)
+            assert below * above < 0.0
 
 
 def test_wln_respects_explicit_cutoff():
