@@ -61,10 +61,13 @@ SWEEPABLE = {
     "fock": ("n", "dim"),
 }
 _INT_PARAMS = {"M", "k", "n", "dim"}
+_MAX_AUTO_DIM = 100_000
 
 OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
 
-_META_COLS = ["wln_nodes", "wln_angular_nodes", "wln_refinement_delta"]
+# WlnResult fields reported as wln_<field> columns and JSON metadata
+_WLN_DETAIL = ("nodes", "angular_nodes", "refinement_delta")
+_WLN_COLUMNS = [f"wln_{f}" for f in _WLN_DETAIL]
 
 
 def _json_scalar(value):
@@ -146,11 +149,12 @@ def _build_state(family: str, opts: dict):
 
 
 def _auto_coherent_dim(alpha: float) -> int:
-    """Smallest truncation whose dropped mass is below 1e-12."""
-    d = max(8, int(alpha * alpha) + 2)
+    """Smallest truncation whose dropped mass is below 1e-12, at most
+    _MAX_AUTO_DIM levels."""
+    d = max(8, int(min(alpha * alpha, _MAX_AUTO_DIM)) + 2)
     while coherent_tail_mass(alpha, d) > 1e-12:
         d += 4
-        if d > 100_000:
+        if d > _MAX_AUTO_DIM:
             raise InvalidParams(f"no reasonable truncation found for alpha={alpha}")
     return d
 
@@ -189,7 +193,23 @@ def _measure_columns(names) -> list[str]:
 
 
 def _report_cells(report: MeasureReport, columns) -> dict:
-    return {c: getattr(report, c) for c in columns}
+    """Measure cells, plus the _WLN_COLUMNS when the report has WLN detail."""
+    cells = {c: getattr(report, c) for c in columns}
+    detail = report.wln_detail
+    if detail is not None:
+        cells.update(zip(_WLN_COLUMNS, (getattr(detail, f) for f in _WLN_DETAIL)))
+    return cells
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: only finite numbers pass (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------- commands
@@ -215,10 +235,10 @@ def cmd_measures(args) -> int:
     names = _measure_names(args.measures)
     report = measure_report(state, params, include=names, quad=_quad_from_args(args))
     columns = _measure_columns(names)
+    wln_cols = _WLN_COLUMNS if "wln" in names else []
+    cells = {**params, **_report_cells(report, columns)}
     if args.format == "csv":
-        meta_cols = _META_COLS if "wln" in names else []
-        header = sorted(params) + columns + meta_cols
-        cells = {**params, **_report_cells(report, columns + meta_cols)}
+        header = sorted(params) + columns + wln_cols
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerow([_fmt(cells[c]) for c in header])
@@ -226,18 +246,14 @@ def cmd_measures(args) -> int:
         doc = {
             "family": args.family,
             "params": params,
-            "measures": {c: _json_scalar(getattr(report, c)) for c in columns},
-            "metadata": {"wln_log_base": "e"},
+            "measures": {c: _json_scalar(cells[c]) for c in columns},
+            "metadata": {"wln_log_base": "e", **{c: cells[c] for c in wln_cols}},
         }
-        if "wln" in names:
-            doc["metadata"]["wln_nodes"] = report.wln_nodes
-            doc["metadata"]["wln_angular_nodes"] = report.wln_angular_nodes
-            doc["metadata"]["wln_refinement_delta"] = report.wln_refinement_delta
         print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
-def _sweep_row(family, opts, param, value, names, quad, columns, meta_cols):
+def _sweep_row(family, opts, param, value, names, quad, columns):
     """Compute one sweep row; returns (cells, error_kind)."""
     row_opts = dict(opts)
     row_opts[param] = value
@@ -246,7 +262,7 @@ def _sweep_row(family, opts, param, value, names, quad, columns, meta_cols):
         state, params = _build_state(family, row_opts)
         cells.update(params)
         report = measure_report(state, params, include=names, quad=quad)
-        cells.update(_report_cells(report, columns + meta_cols))
+        cells.update(_report_cells(report, columns))
         cells["error"] = ""
         return cells, None
     except _PARAM_ERRORS as exc:
@@ -268,13 +284,11 @@ def cmd_sweep(args) -> int:
     names = _measure_names(args.measures)
     quad = _quad_from_args(args)
     columns = _measure_columns(names)
-    meta_cols = _META_COLS if "wln" in names else []
+    meta_cols = _WLN_COLUMNS if "wln" in names else []
     opts = vars(args)
 
     jobs = max(1, args.jobs)
-    work = lambda v: _sweep_row(
-        family, opts, args.param, v, names, quad, columns, meta_cols
-    )
+    work = lambda v: _sweep_row(family, opts, args.param, v, names, quad, columns)
     if jobs == 1:
         results = [work(v) for v in values]
     else:
@@ -308,7 +322,10 @@ def _parse_values(param: str, raw: str):
         raise InvalidParams("--values must list at least one value")
     out = []
     for t in tokens:
-        v = float(t)
+        try:
+            v = _finite_float(t)
+        except argparse.ArgumentTypeError as exc:
+            raise InvalidParams(f"--values: {exc}") from None
         if param in _INT_PARAMS:
             if v != int(v):
                 raise InvalidParams(f"parameter '{param}' takes integers, got {t}")
@@ -356,14 +373,16 @@ def cmd_wigner(args) -> int:
 
 def _add_state_flags(p: argparse.ArgumentParser):
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--L", type=float, default=None,
+    p.add_argument("--L", type=_finite_float, default=None,
                    help="population parameter (default: pinned via --L-coeff)")
-    p.add_argument("--L-coeff", dest="L_coeff", type=float, default=2.0,
+    p.add_argument("--L-coeff", dest="L_coeff", type=_finite_float, default=2.0,
                    help="L = coeff * max(M/eta, M/(1-eta)) when --L is absent")
     p.add_argument("--M", type=int, default=None, help="dimension parameter")
-    p.add_argument("--eta", type=float, default=None, help="probability in [0, 1]")
+    p.add_argument("--eta", type=_finite_float, default=None,
+                   help="probability in [0, 1]")
     p.add_argument("--k", type=int, default=None, help="photons added")
-    p.add_argument("--alpha", type=float, default=None, help="coherent amplitude")
+    p.add_argument("--alpha", type=_finite_float, default=None,
+                   help="coherent amplitude")
     p.add_argument("--dim", type=int, default=None, help="basis truncation")
     p.add_argument("--n", type=int, default=None, help="Fock level")
 
@@ -373,9 +392,9 @@ def _add_quad_flags(p: argparse.ArgumentParser):
                    help="radial Gauss-Legendre nodes for the negativity integral")
     p.add_argument("--quad-angular-nodes", type=int, default=256,
                    help="uniform angular nodes for the negativity integral")
-    p.add_argument("--quad-cutoff", type=float, default=None,
+    p.add_argument("--quad-cutoff", type=_finite_float, default=None,
                    help="override the phase-space half-width")
-    p.add_argument("--wln-tolerance", type=float, default=1e-4,
+    p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
                    help="allowed change of the log-negativity under node doubling")
 
 
@@ -412,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wig = sub.add_parser("wigner", help="evaluate W on a grid, write CSV + sidecar")
     _add_state_flags(p_wig)
-    p_wig.add_argument("--xmin", type=float, default=-4.0)
-    p_wig.add_argument("--xmax", type=float, default=4.0)
-    p_wig.add_argument("--pmin", type=float, default=-4.0)
-    p_wig.add_argument("--pmax", type=float, default=4.0)
+    p_wig.add_argument("--xmin", type=_finite_float, default=-4.0)
+    p_wig.add_argument("--xmax", type=_finite_float, default=4.0)
+    p_wig.add_argument("--pmin", type=_finite_float, default=-4.0)
+    p_wig.add_argument("--pmax", type=_finite_float, default=4.0)
     p_wig.add_argument("--nx", type=int, default=101)
     p_wig.add_argument("--np", type=int, default=101)
     p_wig.add_argument("--out", required=True, help="output CSV path")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .fockspace import FockState
-from .states import HypergeometricParams, _log_binomial_prefix, log_binomial_real
+from .states import HypergeometricParams, _log_pnd_hypergeometric, pahs_norm_constant
 
 _LN2 = math.log(2.0)
 _I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
@@ -93,60 +93,37 @@ def concurrence_potential(state: FockState) -> float:
 
 def purity_closed_form_pahs(p: HypergeometricParams) -> float:
     """Reduced-state purity of the splitter output for a photon-added
-    hypergeometric input, from the closed-form multiple sum.
+    hypergeometric input, from the closed-form multiple sum
 
-    The sum runs over (n, m, r) in [0, M]^3 with the paired index
-    s = n - m + r, plus an inner sum over the splitter index k1. Terms
-    whose indices leave the valid region (s outside [0, M], or a factorial
-    of a negative integer in the inner sum) are exactly zero and are
-    skipped. Every factor is combined in log space.
+        N^4 sum_{n,m,r} sum_{k1} 2^-(n+2k+r) a_n a_m a_r a_s
+            / (k1! (n+k-k1)! (m+k-k1)! (r-m+k1)!),
+
+    with s = n - m + r, a_i = (i+k)! sqrt(p_i / i!) over the bare
+    distribution p_i, and N the photon-added normalization. Every factor
+    is combined in log space, where -inf marks an exactly zero term: a
+    vanishing p_i, s outside [0, M], or a factorial of a negative integer
+    (log-gamma is +inf at its poles). One pass per n covers the whole
+    (m, r, k1) block, so the cost is O(M^4) time and O(M^3) memory. The
+    sum shares p_i and N with the state constructors, which tests certify
+    on their own, and nothing with the dense splitter path it checks.
     """
-    L, M, eta, k = p.L, p.M, p.eta, p.k
-    lb_e = _log_binomial_prefix(L * eta, M)
-    lb_o = _log_binomial_prefix(L * (1.0 - eta), M)
-    lb_lm = log_binomial_real(L, M)
-    lf = gammaln(np.arange(M + 2 * k + 2) + 1.0)  # lf[i] = log(i!)
-
-    # log of the bare-state PND (unnormalized by C(L, M))
-    log_w = lb_e + lb_o[::-1]
-
-    # normalization of the photon-added state: N^2 = 1 / sum_n w_n (n+k)!/n!
-    n_idx = np.arange(M + 1)
-    log_n2 = -logsumexp(log_w - lb_lm + lf[n_idx + k] - lf[n_idx])
-
-    term_logs = []
+    M, k = p.M, p.k
+    i = np.arange(M + 1)
+    log_a = 0.5 * (_log_pnd_hypergeometric(p) - gammaln(i + 1)) + gammaln(i + k + 1)
+    m, r = i[:, None, None], i[None, :, None]
+    k1 = np.arange(M + k + 1)
+    log_block = (
+        log_a[m]
+        + log_a[r]
+        - r * _LN2
+        - gammaln(k1 + 1)
+        - gammaln(m + k - k1 + 1)
+        - gammaln(r - m + k1 + 1)
+    )
+    log_sums = []
     for n in range(M + 1):
-        if log_w[n] == -math.inf:
-            continue
-        for m in range(M + 1):
-            if log_w[m] == -math.inf:
-                continue
-            for r in range(M + 1):
-                s = n - m + r
-                if s < 0 or s > M:
-                    continue
-                if log_w[r] == -math.inf or log_w[s] == -math.inf:
-                    continue
-                k1_lo = max(0, m - r)
-                k1_hi = min(n + k, k + m)
-                if k1_lo > k1_hi:
-                    continue
-                k1 = np.arange(k1_lo, k1_hi + 1)
-                log_inner = (
-                    lf[n + k]
-                    + lf[m + k]
-                    + lf[r + k]
-                    + lf[s + k]
-                    - 0.5 * (lf[n] + lf[m] + lf[r] + lf[s])
-                    - lf[k1]
-                    - lf[n + k - k1]
-                    - lf[k + m - k1]
-                    - lf[r - m + k1]
-                )
-                log_pref = (
-                    0.5 * (log_w[n] + log_w[m] + log_w[r] + log_w[s])
-                    - (n + 2 * k + r) * _LN2
-                    - 2.0 * lb_lm
-                )
-                term_logs.append(log_pref + logsumexp(log_inner))
-    return float(np.exp(logsumexp(np.array(term_logs)) + 2.0 * log_n2))
+        s = n - m + r
+        log_s = np.where((s >= 0) & (s <= M), log_a[np.clip(s, 0, M)], -math.inf)
+        log_n = log_a[n] - (n + 2 * k) * _LN2 - gammaln(n + k - k1 + 1)
+        log_sums.append(logsumexp(log_n + log_block + log_s))
+    return float(np.exp(logsumexp(log_sums)) * pahs_norm_constant(p) ** 4)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ZeroState
+from .errors import InvalidParams, ZeroState
 
 _NORM_TOL = 1e-12
 _ZERO_NORM = 1e-300
@@ -71,7 +71,7 @@ def add_photons(state: FockState, k: int) -> FockState:
     overflow. Indices below k come out exactly zero.
     """
     if k < 0 or int(k) != k:
-        raise ValueError(f"photon addition count must be a nonnegative integer, got {k}")
+        raise InvalidParams(f"photons added must be a nonnegative integer, got {k}")
     k = int(k)
     if k == 0:
         return state

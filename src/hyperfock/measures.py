@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import entanglement, wigner
 from .fockspace import FockState, mean_photon_number, photon_number_distribution
 
 # below this, a probability is treated as exactly zero when classifying
@@ -54,7 +55,8 @@ def anticlassicality(state: FockState, include_vacuum: bool = False) -> float:
 @dataclass(frozen=True)
 class MeasureReport:
     """Named scalar results for one state, with the parameters that
-    produced them. Optional entries stay None when not requested."""
+    produced them. Optional entries stay None when not requested;
+    wln_detail carries the quadrature diagnostics of the wln value."""
 
     params: dict
     mu: float | None = None
@@ -63,9 +65,7 @@ class MeasureReport:
     mean_n: float | None = None
     concurrence: float | None = None
     wln: float | None = None
-    wln_nodes: int | None = None
-    wln_angular_nodes: int | None = None
-    wln_refinement_delta: float | None = None
+    wln_detail: wigner.WlnResult | None = None
 
 
 ALL_MEASURES = ("anticlassicality", "concurrence", "mean_n", "mu", "wln")
@@ -83,8 +83,6 @@ def measure_report(
     "anticlassicality" yields both the m > 0 and the m >= 0 variants.
     `quad` is a wigner.QuadratureSpec used when "wln" is requested.
     """
-    from . import entanglement, wigner  # local to keep module load light
-
     include = set(include)
     unknown = include - set(ALL_MEASURES)
     if unknown:
@@ -104,7 +102,5 @@ def measure_report(
     if "wln" in include:
         detail = wigner.wigner_log_negativity_detailed(state, quad)
         fields["wln"] = detail.value
-        fields["wln_nodes"] = detail.nodes
-        fields["wln_angular_nodes"] = detail.angular_nodes
-        fields["wln_refinement_delta"] = detail.refinement_delta
+        fields["wln_detail"] = detail
     return MeasureReport(**fields)

@@ -77,10 +77,11 @@ def _log_binomial_prefix(x: float, n_max: int) -> np.ndarray:
 class HypergeometricParams:
     """Parameters (L, M, eta, k) of a photon-added hypergeometric state.
 
-    Validity: 0 <= eta <= 1, M >= 0, k >= 0, and L >= max(M/eta, M/(1-eta))
-    for eta strictly inside (0, 1). At the endpoints eta in {0, 1} that
-    bound degenerates, and only L >= M is required; the vanishing
-    coefficients are handled through -inf log-binomials.
+    Validity: L finite, 0 <= eta <= 1, M >= 0, k >= 0, and
+    L >= max(M/eta, M/(1-eta)) for eta strictly inside (0, 1). At the
+    endpoints eta in {0, 1} that bound degenerates, and only L >= M is
+    required; the vanishing coefficients are handled through -inf
+    log-binomials.
     """
 
     L: float
@@ -99,8 +100,8 @@ class HypergeometricParams:
         object.__setattr__(self, "eta", float(self.eta))
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidParams(f"eta must lie in [0, 1], got {self.eta}")
-        if not self.L > 0.0:
-            raise InvalidParams(f"L must be a positive real, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise InvalidParams(f"L must be a positive finite real, got {self.L}")
         bound = min_valid_L(self.M, self.eta)
         # tiny relative slack so L = exactly the bound is accepted
         if self.L < bound * (1.0 - 1e-12):

@@ -83,7 +83,7 @@ class QuadratureSpec:
             n_top = int(occupied[-1]) if occupied.size else 0
             return math.sqrt(2.0 * n_top + 1.0) + 5.0
         floor = math.sqrt(2.0 * mean_photon_number(state)) + 5.0
-        if self.cutoff < floor - 1e-9:
+        if not self.cutoff >= floor - 1e-9:  # also rejects a NaN cutoff
             raise InvalidParams(
                 f"cutoff {self.cutoff} below required sqrt(2<n>)+5 = {floor:.3f}"
             )
@@ -351,22 +351,23 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     return np.concatenate([[0.0], roots, [radius]])
 
 
-def _phase_space_integrals(amps: np.ndarray, radius: float, nodes: int, angular: int):
-    """Integrals of |W| and W over the disk of given radius.
+def _phase_space_integrals(
+    amps: np.ndarray, edges: np.ndarray, nodes: int, angular: int
+):
+    """Integrals of |W| and W over the disk of radius edges[-1].
 
     Tensor-product rule in polar coordinates: composite Gauss-Legendre in
-    r against the r dr measure, with panels split at the zero rings of the
-    angular-mean profile; uniform midpoint around the circle, which
-    integrates the finite angular Fourier content of W exactly. Keeping
-    the kinks of |W| on (or near) panel boundaries restores fast radial
-    convergence that a Cartesian grid, whose every row and column crosses
-    the rings, cannot achieve.
+    r against the r dr measure, with panels split at the given edges, the
+    zero rings of the angular-mean profile; uniform midpoint around the
+    circle, which integrates the finite angular Fourier content of W
+    exactly. Keeping the kinks of |W| on (or near) panel boundaries
+    restores fast radial convergence that a Cartesian grid, whose every
+    row and column crosses the rings, cannot achieve.
     """
-    edges = _radial_panel_edges(amps, radius)
     widths = np.diff(edges)
     r_parts, w_parts = [], []
     for lo, width in zip(edges[:-1], widths):
-        q = max(12, int(round(nodes * width / radius)))
+        q = max(12, int(round(nodes * width / edges[-1])))
         rp, wp = _leggauss_scaled(q, lo, lo + width)
         r_parts.append(rp)
         w_parts.append(wp)
@@ -394,17 +395,17 @@ def wigner_log_negativity_detailed(
     of W on the same grid, a ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
-    radius = quad.radius(state)
     amps = state.amplitudes
+    edges = _radial_panel_edges(amps, quad.radius(state))
     nodes, angular = quad.nodes, quad.angular_nodes
-    value = math.log(_phase_space_integrals(amps, radius, nodes, angular)[0])
+    value = math.log(_phase_space_integrals(amps, edges, nodes, angular)[0])
     for _ in range(_WLN_MAX_DOUBLINGS):
         if not math.isfinite(value):  # overflow; more nodes cannot repair it
             raise QuadratureNotConverged(
                 f"log-negativity is {value} at {nodes} x {angular} nodes"
             )
         nodes, angular, coarse = 2 * nodes, 2 * angular, value
-        abs_int, total = _phase_space_integrals(amps, radius, nodes, angular)
+        abs_int, total = _phase_space_integrals(amps, edges, nodes, angular)
         value = math.log(abs_int)
         delta = abs(value - coarse)
         if delta <= quad.wln_tolerance:

@@ -1,10 +1,14 @@
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperfock.cli import main
+from hyperfock.cli import FAMILIES, main
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +277,77 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
     assert code == 0
     rows = list(csv.DictReader((tmp_path / "env_rows.csv").open()))
     assert [r["mean_n"] for r in rows] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ("measures binomial --M 4 --eta 0.5 --k -1", "nonnegative integer"),
+        ("sweep pahs --M 4 --eta 0.3 --param k --values a,b --out {tmp}/x.csv",
+         "finite number"),
+        ("sweep pahs --M 4 --eta 0.3 --param eta --values 0.2,nan --out {tmp}/x.csv",
+         "finite number"),
+        ("measures coherent --alpha nan", "finite number"),
+        ("measures coherent --alpha inf", "finite number"),
+        ("measures coherent --alpha 1e200", "truncation"),
+        ("measures pahs --M 4 --eta 0.3 --quad-cutoff nan --measures wln",
+         "finite number"),
+        ("wigner fock --n 1 --xmin nan --out {tmp}/g.csv", "finite number"),
+        ("measures pahs --M 3 --eta 0.5 --L inf", "finite number"),
+        # the pinned L = 2 M / eta overflows
+        ("measures pahs --M 3 --eta 1e-320", "finite real, got inf"),
+    ],
+)
+def test_bad_flag_values_exit_2(capsys, tmp_path, argv, reason):
+    try:
+        code = main(argv.format(tmp=tmp_path).split())
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and reason in err
+    assert not any(tmp_path.iterdir())
+
+
+_FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200")
+_FLOAT_FLAGS = ("--L", "--L-coeff", "--eta", "--alpha", "--quad-cutoff", "--wln-tolerance")
+_INT_FLAGS = ("--M", "--k", "--dim", "--n")
+_VALID_FLAGS = {
+    "pahs": "--M=4 --eta=0.3",
+    "hypergeometric": "--M=4 --eta=0.3",
+    "binomial": "--M=4 --eta=0.3",
+    "coherent": "--alpha=1.5",
+    "fock": "--n=2",
+}
+
+
+@st.composite
+def _measures_argv(draw):
+    """A valid measures call with up to three flags overridden (the last
+    value of a flag wins) by edge values. Integers stay <= 30 and alpha is
+    at most 1.5 or the rejected 1e200, so no example asks for more than
+    about 60 Fock levels."""
+    family = draw(st.sampled_from(FAMILIES))
+    argv = ["measures", family, *_VALID_FLAGS[family].split(),
+            "--measures", "mu,anticlassicality,mean_n"]
+    flags = st.sampled_from(_FLOAT_FLAGS + _INT_FLAGS)
+    for flag in draw(st.lists(flags, max_size=3, unique=True)):
+        if flag in _FLOAT_FLAGS:
+            value = draw(st.sampled_from(_FLOAT_EDGES))
+        else:
+            value = draw(st.integers(-3, 30))
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(_measures_argv())
+def test_flag_values_give_documented_exit_codes(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or "error:" in err.getvalue()

@@ -116,9 +116,18 @@ def test_concurrence_coherent_is_classical():
     assert concurrence_potential(coherent_truncated(1.5, 40)) <= 1e-6
 
 
-def test_closed_form_purity_matches_dense_path():
+def _closed_form_cases():
     for k in (0, 1, 2):
-        p = HypergeometricParams(L=40.0, M=4, eta=0.3, k=k)
+        yield HypergeometricParams(L=40.0, M=4, eta=0.3, k=k)
+    # L at its bound; at eta in {0, 1} most log weights are -inf
+    for M in (4, 14, 40):
+        for k in range(4):
+            for eta in (0.0, 0.3, 1.0):
+                yield HypergeometricParams(pinned_L(M, eta, 1.0), M, eta, k)
+
+
+def test_closed_form_purity_matches_dense_path():
+    for p in _closed_form_cases():
         dense = reduced_purity(beamsplitter_with_vacuum(pahs(p)))
         closed = purity_closed_form_pahs(p)
         assert abs(dense - closed) <= 1e-10 * closed

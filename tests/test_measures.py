@@ -107,8 +107,8 @@ def test_measure_report_full():
     assert r.mean_n >= 0.0
     assert r.concurrence > 0.0
     assert r.wln > 0.0
-    assert r.wln_refinement_delta < 1e-4
-    assert r.wln_nodes > 0 and r.wln_angular_nodes > 0
+    assert r.wln_detail.refinement_delta < 1e-4
+    assert r.wln_detail.nodes > 0 and r.wln_detail.angular_nodes > 0
 
 
 def test_measure_report_rejects_unknown():

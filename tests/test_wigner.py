@@ -13,6 +13,7 @@ from hyperfock import (
     fock,
     normalize,
     pahs,
+    pinned_L,
     wigner_grid,
     wigner_log_negativity,
     wigner_log_negativity_detailed,
@@ -224,7 +225,8 @@ def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
 
     monkeypatch.setattr(wigner, "_wigner_polar", spy)
     for s in _separable_form_states(rng):
-        _phase_space_integrals(s.amplitudes, QuadratureSpec().radius(s), 128, 64)
+        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
+        _phase_space_integrals(s.amplitudes, edges, 128, 64)
         r, theta = seen.pop()
         polar = _wigner_polar(s.amplitudes, r, theta)
         cart = _wigner_array(
@@ -249,6 +251,31 @@ def test_panel_edges_bracket_sign_changes_of_mean_profile(rng):
             assert below * above < 0.0
 
 
+def test_panel_edges_computed_once_per_wln_call(monkeypatch):
+    edge_calls, pass_nodes = [], []
+
+    def edges_spy(amps, radius):
+        edge_calls.append(radius)
+        return _radial_panel_edges(amps, radius)
+
+    def integrals_spy(amps, edges, nodes, angular):
+        pass_nodes.append(nodes)
+        return _phase_space_integrals(amps, edges, nodes, angular)
+
+    monkeypatch.setattr(wigner, "_radial_panel_edges", edges_spy)
+    monkeypatch.setattr(wigner, "_phase_space_integrals", integrals_spy)
+    # the second state needs both node doublings (see test_cli)
+    doubles_twice = pahs(
+        HypergeometricParams(pinned_L(15, 0.930485, 10.0), 15, 0.930485, 3)
+    )
+    for s, passes in ((fock(1, 2), [512, 1024]), (doubles_twice, [512, 1024, 2048])):
+        edge_calls.clear()
+        pass_nodes.clear()
+        wigner_log_negativity_detailed(s)
+        assert pass_nodes == passes
+        assert edge_calls == [QuadratureSpec().radius(s)]
+
+
 def test_wln_respects_explicit_cutoff():
     s = fock(1, 2)
     wide = wigner_log_negativity(s, QuadratureSpec(cutoff=9.0))
@@ -259,7 +286,6 @@ def test_wln_respects_explicit_cutoff():
 def test_phase_space_integrals_unit_mass(rng):
     for dim in (1, 4, 9):
         s = random_state(rng, dim)
-        _, total = _phase_space_integrals(
-            s.amplitudes, QuadratureSpec().radius(s), 256, 128
-        )
+        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
+        _, total = _phase_space_integrals(s.amplitudes, edges, 256, 128)
         assert abs(total - 1.0) < 1e-9
