@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy import linspace
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .errors import InvalidParams, QuadratureNotConverged
@@ -36,9 +35,31 @@ from .fockspace import FockState, mean_photon_number
 
 _LN2 = math.log(2.0)
 
-# direct-integral (oracle) refinement schedule
-_ORACLE_START_NODES = 250
-_ORACLE_MAX_NODES = 4000
+
+# Every quadrature is a composite of one order-16 Gauss-Legendre rule,
+# tabulated here as numpy's leggauss(16) gives it: the positive nodes of
+# [-1, 1] with their weights (the rule is symmetric). Building rules at run
+# time costs more than the Wigner sums they serve (order q takes O(q^3)
+# time and O(q^2) memory), and building even this one at import would add
+# resident memory to every process that imports the module, through its
+# first LAPACK call.
+_GL_ORDER = 16
+_GL_POSITIVE = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_GL_NODES = np.array([-x for x, _ in _GL_POSITIVE[::-1]] + [x for x, _ in _GL_POSITIVE])
+_GL_WEIGHTS = np.array([w for _, w in _GL_POSITIVE[::-1] + _GL_POSITIVE])
+
+# direct-integral (oracle) refinement schedule: 16 to 256 sub-panels
+_ORACLE_START_NODES = 16 * _GL_ORDER
+_ORACLE_MAX_NODES = 256 * _GL_ORDER
 _ORACLE_ACCEPT = 1e-9
 _ORACLE_FAIL = 1e-7
 
@@ -55,10 +76,13 @@ class QuadratureSpec:
       Fock level n_top as sqrt(2 n_top + 1) + 5, beyond which the Gaussian
       envelope makes the tail contribution negligible. An explicit cutoff
       must still satisfy cutoff >= sqrt(2 <n>) + 5.
-    nodes -- radial Gauss-Legendre nodes; angular_nodes -- uniform nodes
-      around the circle. The negativity integral is evaluated at this
-      resolution and again with both counts doubled, up to
-      _WLN_MAX_DOUBLINGS times, until two successive values agree.
+    nodes -- radial nodes: each radial panel gets a share proportional to
+      its width (at least 12), rounded up to whole sub-panels of the
+      composite order-16 Gauss-Legendre rule; angular_nodes -- uniform
+      nodes around the circle. Results report these requested counts. The
+      negativity integral is evaluated at this resolution and again with
+      both counts doubled, up to _WLN_MAX_DOUBLINGS times, until two
+      successive values agree.
     wln_tolerance -- maximum allowed change of the log-negativity under
       one node doubling; a result that still moves more after the last
       doubling is rejected as unconverged.
@@ -145,8 +169,11 @@ def _wigner_polar(amps: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndar
     through one matrix product."""
     z = 2.0 * r * r
     modes = np.empty((len(r), len(amps)), dtype=complex)
+    rpow = np.ones(len(r))
     for a, w in _pair_weights(amps):
-        modes[:, a] = _laguerre_sum(w, a, z) * (2.0 * (-r) ** a if a else 1.0)
+        acc = _laguerre_sum(w, a, z)
+        modes[:, a] = acc if a == 0 else 2.0 * acc * rpow
+        rpow = rpow * -r
     phases = np.exp(-1j * np.outer(np.arange(len(amps)), theta))
     return (modes @ phases).real * (np.exp(-r * r) / math.pi)[:, None]
 
@@ -234,19 +261,26 @@ def wigner_grid(
     )
 
 
-@lru_cache(maxsize=32)
-def _leggauss_cached(n: int):
-    nodes, weights = leggauss(n)
+# 256 entries hold every sub-panel count the default WLN passes (at most
+# 128) and the oracle (16 to 256 by doubling) ask for, about 2 MB in all
+@lru_cache(maxsize=256)
+def _unit_composite_rule(panels: int):
+    """Composite rule on [0, 1]: `panels` equal sub-panels, each carrying
+    the order-_GL_ORDER Gauss-Legendre rule."""
+    nodes = (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) / panels
+    nodes = nodes.ravel()
+    weights = np.tile(_GL_WEIGHTS * (0.5 / panels), panels)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _leggauss_scaled(n: int, lo: float, hi: float):
-    nodes, weights = _leggauss_cached(n)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid + half * nodes, half * weights
+def _leggauss_scaled(panels: int, lo: float, hi: float):
+    """Nodes and weights on [lo, hi] of the composite rule with `panels`
+    sub-panels: exact for polynomials of degree < 2 * _GL_ORDER."""
+    nodes, weights = _unit_composite_rule(panels)
+    width = hi - lo
+    return lo + width * nodes, width * weights
 
 
 def _position_wavefunction(amps: np.ndarray, u) -> np.ndarray:
@@ -273,8 +307,9 @@ def _oracle_integral(
     amps: np.ndarray, x: float, p: float, y_cutoff: float, nodes: int
 ) -> complex:
     """One fixed-resolution evaluation of the defining Wigner transform
-    (1/pi) * integral over y of conj(psi(x+y)) psi(x-y) exp(2ipy)."""
-    y, w = _leggauss_scaled(nodes, -y_cutoff, y_cutoff)
+    (1/pi) * integral over y of conj(psi(x+y)) psi(x-y) exp(2ipy), with
+    `nodes` rounded up to whole sub-panels of the composite rule."""
+    y, w = _leggauss_scaled(-(-nodes // _GL_ORDER), -y_cutoff, y_cutoff)
     vals = (
         np.conj(_position_wavefunction(amps, x + y))
         * _position_wavefunction(amps, x - y)
@@ -290,9 +325,10 @@ def wigner_oracle_point(
     transform. Independent of the closed form; intended for validation at
     desk scale (dim up to a few tens).
 
-    Node counts are doubled until successive values agree to 1e-9;
-    QuadratureNotConverged is raised if they still differ by more than
-    1e-7 at the largest resolution.
+    The sub-panel count of the composite rule is doubled, from 16 up to
+    256, until successive values agree to 1e-9; QuadratureNotConverged is
+    raised if they still differ by more than 1e-7 at the largest
+    resolution.
     """
     quad = quad if quad is not None else QuadratureSpec()
     y_cutoff = quad.radius(state) + abs(x)
@@ -341,6 +377,8 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
     lo, hi, glo = probe[idx], probe[idx + 1], g[idx]
     for _ in range(60):
+        if np.all(np.nextafter(lo, hi) >= hi):  # every bracket has collapsed
+            break
         mid = 0.5 * (lo + hi)
         gmid = _laguerre_sum(w, 0, 2.0 * mid * mid)
         same, zero = (glo < 0) == (gmid < 0), gmid == 0.0  # a zero stops there
@@ -356,27 +394,29 @@ def _phase_space_integrals(
 ):
     """Integrals of |W| and W over the disk of radius edges[-1].
 
-    Tensor-product rule in polar coordinates: composite Gauss-Legendre in
-    r against the r dr measure, with panels split at the given edges, the
-    zero rings of the angular-mean profile; uniform midpoint around the
-    circle, which integrates the finite angular Fourier content of W
-    exactly. Keeping the kinks of |W| on (or near) panel boundaries
-    restores fast radial convergence that a Cartesian grid, whose every
-    row and column crosses the rings, cannot achieve.
+    Tensor-product rule in polar coordinates. In r, against the r dr
+    measure, the disk is split into panels at the given edges, the zero
+    rings of the angular-mean profile; a panel of width h gets
+    q = max(12, round(nodes h / R)) nodes, rounded up to ceil(q/16) equal
+    sub-panels of the order-16 Gauss-Legendre rule. Around the circle the
+    rule is the uniform midpoint one, which integrates the finite angular
+    Fourier content of W exactly. Keeping the kinks of |W| on (or near)
+    panel boundaries restores fast radial convergence that a Cartesian
+    grid, whose every row and column crosses the rings, cannot achieve.
     """
     widths = np.diff(edges)
     r_parts, w_parts = [], []
     for lo, width in zip(edges[:-1], widths):
         q = max(12, int(round(nodes * width / edges[-1])))
-        rp, wp = _leggauss_scaled(q, lo, lo + width)
+        rp, wp = _leggauss_scaled(-(-q // _GL_ORDER), lo, lo + width)
         r_parts.append(rp)
         w_parts.append(wp)
     r = np.concatenate(r_parts)
     wr = np.concatenate(w_parts)
     theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
     values = _wigner_polar(amps, r, theta)
-    wt = (wr * r)[:, None] * (2.0 * math.pi / angular)
-    return float((wt * np.abs(values)).sum()), float((wt * values).sum())
+    wt = wr * r * (2.0 * math.pi / angular)
+    return float(wt @ np.abs(values).sum(axis=1)), float(wt @ values.sum(axis=1))
 
 
 def wigner_log_negativity_detailed(

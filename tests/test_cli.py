@@ -209,12 +209,12 @@ def test_unconverged_quadrature_exit_code(capsys):
 
 
 def test_wln_converges_after_second_node_doubling(capsys):
-    # WLN moves by 1.137e-4 from 512 x 256 to 1024 x 512 nodes, above the
-    # default tolerance 1e-4, and by 1.9e-5 one doubling later
+    # WLN moves by 4.7e-5 from 512 x 256 to 1024 x 512 nodes, above the
+    # tolerance 1e-5, and by 2.5e-6 one doubling later
     code, out, _ = run_cli(
         capsys,
-        "measures", "pahs", "--M", "15", "--eta", "0.930485", "--k", "3",
-        "--L-coeff", "10", "--measures", "wln",
+        "measures", "pahs", "--M", "12", "--eta", "0.928008", "--k", "2",
+        "--L-coeff", "10", "--measures", "wln", "--wln-tolerance", "1e-5",
     )
     assert code == 0
     meta = json.loads(out)["metadata"]

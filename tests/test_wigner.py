@@ -22,6 +22,7 @@ from hyperfock import (
 )
 from hyperfock import wigner
 from hyperfock.wigner import (
+    _leggauss_scaled,
     _oracle_integral,
     _phase_space_integrals,
     _radial_panel_edges,
@@ -264,14 +265,17 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
 
     monkeypatch.setattr(wigner, "_radial_panel_edges", edges_spy)
     monkeypatch.setattr(wigner, "_phase_space_integrals", integrals_spy)
-    # the second state needs both node doublings (see test_cli)
+    # the second state needs both node doublings at tolerance 1e-5 (see test_cli)
     doubles_twice = pahs(
-        HypergeometricParams(pinned_L(15, 0.930485, 10.0), 15, 0.930485, 3)
+        HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2)
     )
-    for s, passes in ((fock(1, 2), [512, 1024]), (doubles_twice, [512, 1024, 2048])):
+    for s, quad, passes in (
+        (fock(1, 2), QuadratureSpec(), [512, 1024]),
+        (doubles_twice, QuadratureSpec(wln_tolerance=1e-5), [512, 1024, 2048]),
+    ):
         edge_calls.clear()
         pass_nodes.clear()
-        wigner_log_negativity_detailed(s)
+        wigner_log_negativity_detailed(s, quad)
         assert pass_nodes == passes
         assert edge_calls == [QuadratureSpec().radius(s)]
 
@@ -289,3 +293,31 @@ def test_phase_space_integrals_unit_mass(rng):
         edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
         _, total = _phase_space_integrals(s.amplitudes, edges, 256, 128)
         assert abs(total - 1.0) < 1e-9
+
+
+def test_composite_rule_exact_to_degree_31():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert np.array_equal(wigner._GL_NODES, nodes)
+    assert np.array_equal(wigner._GL_WEIGHTS, weights)
+    lo, hi = -0.5, 1.5
+    for panels in (1, 2, 3, 7, 16):
+        x, w = _leggauss_scaled(panels, lo, hi)
+        assert len(x) == 16 * panels
+        assert math.isclose(w.sum(), hi - lo, rel_tol=1e-14)
+        for j in range(32):
+            exact = (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+            assert math.isclose(w @ x**j, exact, rel_tol=1e-12)
+
+
+def test_no_gauss_legendre_rule_built_at_run_time(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quadrature rule was built at run time")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)  # the solver of numpy's leggauss
+    s = pahs(HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2))
+    # doubles twice at tolerance 1e-5 (see test_cli)
+    got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=1e-5))
+    assert got.nodes == 2048
+    assert abs(wigner_oracle_point(s, 1.0, -0.5) - wigner_point(s, 1.0, -0.5)) < 1e-7
