@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     IndexOutOfRange,
@@ -31,7 +30,6 @@ from .states import (
     coherent_tail_mass,
     coherent_truncated,
     fock,
-    hypergeometric,
     pahs,
     pinned_L,
 )
@@ -120,14 +118,12 @@ def _build_state(family: str, opts: dict):
         if L is None:
             L = pinned_L(int(opts["M"]), float(opts["eta"]), float(opts["L_coeff"]))
         params = HypergeometricParams(float(L), int(opts["M"]), float(opts["eta"]), k)
-        state = pahs(params) if k else hypergeometric(params)
+        state = pahs(params)
         return state, {"L": params.L, "M": params.M, "eta": params.eta, "k": params.k}
     if family == "binomial":
         need("M", "eta")
         k = int(opts.get("k") or 0)
-        state = binomial(int(opts["M"]), float(opts["eta"]))
-        if k:
-            state = add_photons(state, k)
+        state = add_photons(binomial(int(opts["M"]), float(opts["eta"])), k)
         return state, {"M": int(opts["M"]), "eta": float(opts["eta"]), "k": k}
     if family == "coherent":
         need("alpha")
@@ -136,9 +132,7 @@ def _build_state(family: str, opts: dict):
         if dim is None:
             dim = _auto_coherent_dim(alpha)
         k = int(opts.get("k") or 0)
-        state = coherent_truncated(alpha, int(dim))
-        if k:
-            state = add_photons(state, k)
+        state = add_photons(coherent_truncated(alpha, int(dim)), k)
         return state, {"alpha": alpha, "dim": int(dim), "k": k}
     if family == "fock":
         need("n")
@@ -287,13 +281,8 @@ def cmd_sweep(args) -> int:
     meta_cols = _WLN_COLUMNS if "wln" in names else []
     opts = vars(args)
 
-    jobs = max(1, args.jobs)
-    work = lambda v: _sweep_row(family, opts, args.param, v, names, quad, columns)
-    if jobs == 1:
-        results = [work(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, values))
+    results = [_sweep_row(family, opts, args.param, v, names, quad, columns)
+               for v in values]
 
     # swept value first, then remaining resolved params, then measures
     param_cols = sorted({k for cells, _ in results for k in cells} -
@@ -343,7 +332,7 @@ def cmd_wigner(args) -> int:
         p_min=args.pmin,
         p_max=args.pmax,
         nx=args.nx,
-        np=args.np,
+        n_p=args.np,
     )
     out_path = _resolve_out_path(args.out)
     with open(out_path, "w") as fh:
@@ -356,7 +345,7 @@ def cmd_wigner(args) -> int:
         "p_min": grid.p_min,
         "p_max": grid.p_max,
         "nx": grid.nx,
-        "np": grid.np,
+        "np": grid.n_p,
         "w_min": float(grid.values.min()),
         "w_max": float(grid.values.max()),
         "integral": grid.integral(),
@@ -426,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--measures", default="all")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="max concurrent rows (output order is unaffected)")
+                         help="accepted for compatibility; rows run one at a time")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_wig = sub.add_parser("wigner", help="evaluate W on a grid, write CSV + sidecar")

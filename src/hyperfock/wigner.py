@@ -13,10 +13,6 @@ quadrature uses.
 
 Units are dimensionless oscillator quadratures (hbar = 1), in which the
 vacuum Wigner function peaks at 1/pi.
-
-All evaluation is node-parallel in principle: inputs are immutable, node
-results are independent, and sums are accumulated in a fixed index order so
-results do not depend on evaluation scheduling.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy import linspace
 from scipy.special import gammaln
 
 from .errors import InvalidParams, QuadratureNotConverged
@@ -192,16 +187,16 @@ class WignerGrid:
     p_min: float
     p_max: float
     nx: int
-    np: int
+    n_p: int
     values: np.ndarray
 
     @property
     def x_nodes(self) -> np.ndarray:
-        return linspace(self.x_min, self.x_max, self.nx)
+        return np.linspace(self.x_min, self.x_max, self.nx)
 
     @property
     def p_nodes(self) -> np.ndarray:
-        return linspace(self.p_min, self.p_max, self.np)
+        return np.linspace(self.p_min, self.p_max, self.n_p)
 
     def integral(self) -> float:
         """Trapezoid estimate of the grid integral (should be ~1 when the
@@ -214,24 +209,9 @@ class WignerGrid:
         ps = self.p_nodes
         lines = ["x,p,W"]
         for i in range(self.nx):
-            for j in range(self.np):
+            for j in range(self.n_p):
                 lines.append(f"{xs[i]:.17g},{ps[j]:.17g},{self.values[i, j]:.17g}")
         return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        import json
-
-        header = {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "nx": self.nx,
-            "np": self.np,
-            "order": "x-major",
-            "values": [float(v) for v in self.values.ravel()],
-        }
-        return json.dumps(header)
 
 
 def wigner_grid(
@@ -241,13 +221,13 @@ def wigner_grid(
     p_min: float = -4.0,
     p_max: float = 4.0,
     nx: int = 101,
-    np: int = 101,
+    n_p: int = 101,
 ) -> WignerGrid:
     """Evaluate the closed-form Wigner function on a rectangular grid."""
-    if nx < 2 or np < 2:
+    if nx < 2 or n_p < 2:
         raise InvalidParams("grid needs at least 2 nodes per axis")
-    xs = linspace(x_min, x_max, nx)
-    ps = linspace(p_min, p_max, np)
+    xs = np.linspace(x_min, x_max, nx)
+    ps = np.linspace(p_min, p_max, n_p)
     values = _wigner_array(state.amplitudes, xs[:, None], ps[None, :])
     values.setflags(write=False)
     return WignerGrid(
@@ -256,7 +236,7 @@ def wigner_grid(
         p_min=float(p_min),
         p_max=float(p_max),
         nx=int(nx),
-        np=int(np),
+        n_p=int(n_p),
         values=values,
     )
 

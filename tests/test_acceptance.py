@@ -452,7 +452,7 @@ def test_criterion_6f_minimum_shallower_at_lower_eta():
     for eta in (0.75, 0.9):
         g = wigner_grid(
             _pahs_state(10, eta, 1, 2.0),
-            x_min=-6, x_max=6, p_min=-6, p_max=6, nx=161, np=161,
+            x_min=-6, x_max=6, p_min=-6, p_max=6, nx=161, n_p=161,
         )
         mins[eta] = float(g.values.min())
     ok = mins[0.75] > mins[0.9]

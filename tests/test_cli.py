@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -140,19 +141,27 @@ def test_sweep_records_row_errors(capsys, tmp_path):
     assert rows[1]["mu"] == ""
 
 
-def test_sweep_is_deterministic_and_jobs_invariant(capsys, tmp_path):
+def _refuse_thread_start(thread):
+    raise AssertionError("the sweep started a thread")
+
+
+def test_sweep_is_deterministic_and_jobs_invariant(capsys, tmp_path, monkeypatch):
     paths = [tmp_path / f"d{i}.csv" for i in range(3)]
     argsets = [
         ("--jobs", "1"), ("--jobs", "1"), ("--jobs", "3"),
     ]
     for path, jobs in zip(paths, argsets):
-        code, _, _ = run_cli(
-            capsys,
-            "sweep", "binomial", "--M", "6",
-            "--param", "eta", "--values", "0.1,0.3,0.5,0.7,0.9",
-            "--measures", "mu,anticlassicality,concurrence,mean_n",
-            "--out", str(path), *jobs,
-        )
+        with monkeypatch.context() as patch:
+            if jobs != ("--jobs", "1"):
+                # --jobs is accepted but rows run one at a time, in this thread
+                patch.setattr(threading.Thread, "start", _refuse_thread_start)
+            code, _, _ = run_cli(
+                capsys,
+                "sweep", "binomial", "--M", "6",
+                "--param", "eta", "--values", "0.1,0.3,0.5,0.7,0.9",
+                "--measures", "mu,anticlassicality,concurrence,mean_n",
+                "--out", str(path), *jobs,
+            )
         assert code == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
@@ -180,6 +189,7 @@ def test_wigner_grid_command(capsys, tmp_path):
     assert sidecar["w_min"] > 0.0
     assert abs(sidecar["integral"] - 1.0) < 1e-3
     assert json.loads((tmp_path / "grid.csv.json").read_text()) == sidecar
+    assert sidecar["nx"] == 41 and sidecar["np"] == 41
     with out_path.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "p", "W"]

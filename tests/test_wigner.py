@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -77,7 +76,7 @@ def test_wigner_is_real_in_direct_integral(rng):
 
 
 def test_grid_vacuum_positive_peaked():
-    g = wigner_grid(fock(0, 1), nx=61, np=61)
+    g = wigner_grid(fock(0, 1), nx=61, n_p=61)
     assert g.values.min() > 0.0
     i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
     assert np.isclose(g.x_nodes[i], 0.0, atol=1e-12)
@@ -86,46 +85,38 @@ def test_grid_vacuum_positive_peaked():
 
 def test_grid_pahs_has_negative_region():
     s = pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1))
-    g = wigner_grid(s, x_min=-6, x_max=6, p_min=-6, p_max=6, nx=121, np=121)
+    g = wigner_grid(s, x_min=-6, x_max=6, p_min=-6, p_max=6, nx=121, n_p=121)
     assert g.values.min() < 0.0
 
 
 def test_grid_matches_pointwise():
     s = normalize([1.0, 0.5j, -0.3])
-    g = wigner_grid(s, x_min=-1, x_max=1, p_min=-2, p_max=2, nx=5, np=7)
+    g = wigner_grid(s, x_min=-1, x_max=1, p_min=-2, p_max=2, nx=5, n_p=7)
     assert g.values.shape == (5, 7)
     assert g.values[2, 3] == wigner_point(s, 0.0, 0.0)
     assert g.values[0, 0] == wigner_point(s, -1.0, -2.0)
 
 
 def test_grid_trapezoid_integral_near_one():
-    g = wigner_grid(fock(2, 3), x_min=-6, x_max=6, p_min=-6, p_max=6, nx=161, np=161)
+    g = wigner_grid(fock(2, 3), x_min=-6, x_max=6, p_min=-6, p_max=6, nx=161, n_p=161)
     assert abs(g.integral() - 1.0) < 1e-3
 
 
 def test_grid_values_read_only():
-    g = wigner_grid(fock(0, 1), nx=11, np=11)
+    g = wigner_grid(fock(0, 1), nx=11, n_p=11)
     with pytest.raises(ValueError):
         g.values[0, 0] = 1.0
 
 
 def test_grid_csv_round_trip():
     s = fock(1, 2)
-    g = wigner_grid(s, x_min=-1, x_max=1, p_min=-1, p_max=1, nx=3, np=3)
+    g = wigner_grid(s, x_min=-1, x_max=1, p_min=-1, p_max=1, nx=3, n_p=3)
     lines = g.to_csv_text().strip().split("\n")
     assert lines[0] == "x,p,W"
     assert len(lines) == 1 + 9
     x, p, w = (float(tok) for tok in lines[5].split(","))  # row i=1, j=1
     assert (x, p) == (0.0, 0.0)
     assert np.isclose(w, -INV_PI, atol=1e-12)
-
-
-def test_grid_json_round_trip():
-    g = wigner_grid(fock(0, 1), x_min=-2, x_max=2, p_min=-2, p_max=2, nx=4, np=6)
-    doc = json.loads(g.to_json_text())
-    assert doc["nx"] == 4 and doc["np"] == 6 and doc["order"] == "x-major"
-    vals = np.array(doc["values"]).reshape(4, 6)
-    assert np.allclose(vals, g.values)
 
 
 def test_quadrature_spec_validation():
