@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import (
     IndexOutOfRange,
     InvalidParams,
@@ -59,7 +61,9 @@ SWEEPABLE = {
     "fock": ("n", "dim"),
 }
 _INT_PARAMS = {"M", "k", "n", "dim"}
-_MAX_AUTO_DIM = 100_000
+# supported range: integer size inputs and states of at most this many Fock
+# levels; the dense splitter alone holds _MAX_DIM^2 complex amplitudes
+_MAX_DIM = 1001
 
 OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
 
@@ -101,8 +105,24 @@ def _build_state(family: str, opts: dict):
     """Construct the requested state; returns (state, params_dict).
 
     params_dict holds the fully resolved parameters (e.g. the pinned L),
-    keyed by flag name, in a fixed order.
+    keyed by flag name, in a fixed order. Integer inputs above _MAX_DIM are
+    rejected before they size an array, and so is a state of more than
+    _MAX_DIM levels before anything is computed from it.
     """
+    for name in sorted(_INT_PARAMS):
+        if opts.get(name) is not None:
+            _check_size(f"--{name} {opts[name]}", int(opts[name]))
+    state, params = _family_state(family, opts)
+    _check_size(f"a state of dimension {state.dim}", state.dim)
+    return state, params
+
+
+def _check_size(what: str, size: int):
+    if size > _MAX_DIM:
+        raise InvalidParams(f"{what} exceeds the supported {_MAX_DIM} Fock levels")
+
+
+def _family_state(family: str, opts: dict):
     def need(*names):
         missing = [n for n in names if opts.get(n) is None]
         if missing:
@@ -144,11 +164,11 @@ def _build_state(family: str, opts: dict):
 
 def _auto_coherent_dim(alpha: float) -> int:
     """Smallest truncation whose dropped mass is below 1e-12, at most
-    _MAX_AUTO_DIM levels."""
-    d = max(8, int(min(alpha * alpha, _MAX_AUTO_DIM)) + 2)
+    _MAX_DIM levels."""
+    d = max(8, int(min(alpha * alpha, _MAX_DIM)) + 2)
     while coherent_tail_mass(alpha, d) > 1e-12:
         d += 4
-        if d > _MAX_AUTO_DIM:
+        if d > _MAX_DIM:
             raise InvalidParams(f"no reasonable truncation found for alpha={alpha}")
     return d
 
@@ -319,6 +339,7 @@ def _parse_values(param: str, raw: str):
             if v != int(v):
                 raise InvalidParams(f"parameter '{param}' takes integers, got {t}")
             v = int(v)
+            _check_size(f"--values {param}={t}", v)
         out.append(v)
     return out
 
@@ -334,6 +355,11 @@ def cmd_wigner(args) -> int:
         nx=args.nx,
         n_p=args.np,
     )
+    bad = int(np.count_nonzero(~np.isfinite(grid.values)))
+    if bad:  # overflow of the Laguerre sums; no file is written
+        raise QuadratureNotConverged(
+            f"{bad} of {grid.values.size} grid values of W are not finite"
+        )
     out_path = _resolve_out_path(args.out)
     with open(out_path, "w") as fh:
         fh.write(grid.to_csv_text())

@@ -19,7 +19,7 @@ from .fockspace import FockState
 from .states import HypergeometricParams, _log_pnd_hypergeometric, pahs_norm_constant
 
 _LN2 = math.log(2.0)
-_I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+_I_POW = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,16 +52,14 @@ def beamsplitter_with_vacuum(state: FockState) -> TwoModeState:
     stated convention amplitude for amplitude.
     """
     d = state.dim
-    out = np.zeros((d, d), dtype=complex)
+    j, l = np.indices((d, d))
+    keep = j + l < d  # the pairs (j, l = n - j) of every level n
+    j, l = j[keep], l[keep]
+    n = j + l
     log_fact = gammaln(np.arange(d) + 1.0)
-    for n in range(d):
-        c = state.amplitudes[n]
-        if c == 0:
-            continue
-        j = np.arange(n + 1)
-        log_coeff = 0.5 * (log_fact[n] - log_fact[j] - log_fact[n - j] - n * _LN2)
-        phases = np.array([_I_POW[(n - jj) % 4] for jj in j])
-        out[j, n - j] += c * phases * np.exp(log_coeff)
+    log_coeff = 0.5 * (log_fact[n] - log_fact[j] - log_fact[l] - n * _LN2)
+    out = np.zeros((d, d), dtype=complex)
+    out[j, l] += state.amplitudes[n] * _I_POW[l % 4] * np.exp(log_coeff)
     return TwoModeState(out)
 
 

@@ -142,16 +142,21 @@ def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     The double Fock sum is folded onto ordered pairs n <= n' = n + a: the
     kernel is Hermitian under index swap, so each off-diagonal pair
     contributes twice the real part of one term, carrying (ip - x)^a.
+    For array input each Laguerre sum is taken once per distinct z = 2 r^2
+    and scattered back, which gives the same values bit for bit.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     r2 = x * x + p * p
     z = 2.0 * r2
+    if z.ndim:  # a point keeps the direct path: np.unique would triple its cost
+        zu, inv = np.unique(z, return_inverse=True)
+        inv = inv.reshape(z.shape)  # its shape differs across numpy 2.x releases
     out = np.zeros(z.shape)
     zstep = 1j * p - x
     zpow = np.ones(z.shape, dtype=complex)
     for a, w in _pair_weights(amps):
-        acc = _laguerre_sum(w, a, z)
+        acc = _laguerre_sum(w, a, zu)[inv] if z.ndim else _laguerre_sum(w, a, z)
         out += acc.real if a == 0 else 2.0 * (acc * zpow).real
         zpow = zpow * zstep
     return out * (np.exp(-r2) / math.pi)
@@ -205,13 +210,14 @@ class WignerGrid:
         return float(np.trapezoid(inner, self.x_nodes))
 
     def to_csv_text(self) -> str:
-        xs = self.x_nodes
-        ps = self.p_nodes
-        lines = ["x,p,W"]
-        for i in range(self.nx):
-            for j in range(self.n_p):
-                lines.append(f"{xs[i]:.17g},{ps[j]:.17g},{self.values[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
+        """One "x,p,W" line per node, every number as %.17g; each row is
+        formatted through one template that holds its labels."""
+        ps = ["%.17g" % p for p in self.p_nodes.tolist()]
+        lines = ["x,p,W\n"]
+        for x, row in zip(self.x_nodes.tolist(), self.values.tolist()):
+            pre = "%.17g," % x
+            lines.append("".join(pre + p + ",%.17g\n" for p in ps) % tuple(row))
+        return "".join(lines)
 
 
 def wigner_grid(

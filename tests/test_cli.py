@@ -196,6 +196,26 @@ def test_wigner_grid_command(capsys, tmp_path):
     assert len(rows) == 1 + 41 * 41
 
 
+def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path):
+    # the unscaled Laguerre sums of |300> overflow far out in phase space
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            capsys,
+            "wigner", "fock", "--n", "300", "--nx", "5", "--np", "5",
+            "--xmin", "-27", "--xmax", "27", "--pmin", "-27", "--pmax", "27",
+            "--out", str(tmp_path / "g.csv"),
+        )
+    assert code == 3
+    assert out == "" and "error:" in err and "not finite" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_supported_state_runs(capsys):
+    code, out, _ = run_cli(capsys, "state", "pahs", "--M", "1000", "--eta", "0.3")
+    assert code == 0
+    assert json.loads(out)["dim"] == 1001
+
+
 def test_measures_smoke_row_all_finite(capsys):
     code, out, _ = run_cli(
         capsys, "measures", "pahs", "--M", "10", "--eta", "0.9", "--k", "1"
@@ -306,6 +326,13 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures pahs --M 3 --eta 0.5 --L inf", "finite number"),
         # the pinned L = 2 M / eta overflows
         ("measures pahs --M 3 --eta 1e-320", "finite real, got inf"),
+        # at most 1001 Fock levels, checked before any array is sized
+        ("sweep pahs --eta 0.3 --param M --values 1e200 --out {tmp}/x.csv",
+         "1001 Fock levels"),
+        ("measures pahs --M 100000000000 --eta 0.3 --measures mu", "1001 Fock levels"),
+        ("measures pahs --M 1000 --eta 0.3 --k 1 --measures mu", "1001 Fock levels"),
+        ("measures fock --n 1001 --measures mu", "1001 Fock levels"),
+        ("measures coherent --alpha 300", "truncation"),
     ],
 )
 def test_bad_flag_values_exit_2(capsys, tmp_path, argv, reason):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from hyperfock import (
     HypergeometricParams,
@@ -41,6 +42,34 @@ def test_two_photon_split():
     want[1, 1] = 1j / math.sqrt(2)
     want[0, 2] = -0.5
     assert np.allclose(t.amplitudes, want, atol=1e-14)
+
+
+def _splitter_per_level(amps):
+    """|n, 0> -> 2^(-n/2) sum_j sqrt(C(n, j)) i^(n-j) |j, n-j>, one Fock
+    level at a time, skipping zero amplitudes."""
+    d = len(amps)
+    out = np.zeros((d, d), dtype=complex)
+    log_fact = gammaln(np.arange(d) + 1.0)
+    i_pow = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+    for n in range(d):
+        if amps[n] == 0:
+            continue
+        j = np.arange(n + 1)
+        log_coeff = 0.5 * (log_fact[n] - log_fact[j] - log_fact[n - j] - n * math.log(2.0))
+        phases = np.array([i_pow[(n - jj) % 4] for jj in j])
+        out[j, n - j] += amps[n] * phases * np.exp(log_coeff)
+    return out
+
+
+def test_splitter_matches_per_level_sum_bit_for_bit(rng):
+    states = [random_state(rng, d) for d in (1, 2, 5, 17, 40)]
+    # photon-added states have exact zero amplitudes below level k
+    for M, eta, k in ((6, 0.3, 2), (20, 0.7, 3), (12, 0.5, 0)):
+        states.append(pahs(HypergeometricParams(pinned_L(M, eta), M, eta, k)))
+    for s in states:
+        got = beamsplitter_with_vacuum(s).amplitudes
+        want = _splitter_per_level(s.amplitudes)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_splitter_is_norm_preserving(rng):

@@ -95,6 +95,12 @@ def test_grid_matches_pointwise():
     assert g.values.shape == (5, 7)
     assert g.values[2, 3] == wigner_point(s, 0.0, 0.0)
     assert g.values[0, 0] == wigner_point(s, -1.0, -2.0)
+    # equal, exactly symmetric windows repeat every radius up to eight times
+    g = wigner_grid(s, x_min=-2, x_max=2, p_min=-2, p_max=2, nx=9, n_p=9)
+    xs, ps = np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)
+    for i, x in enumerate(xs):
+        for j, p in enumerate(ps):
+            assert g.values[i, j] == wigner_point(s, x, p)
 
 
 def test_grid_trapezoid_integral_near_one():
@@ -117,6 +123,20 @@ def test_grid_csv_round_trip():
     x, p, w = (float(tok) for tok in lines[5].split(","))  # row i=1, j=1
     assert (x, p) == (0.0, 0.0)
     assert np.isclose(w, -INV_PI, atol=1e-12)
+
+
+def test_grid_csv_text_is_cell_by_cell_17g():
+    # nx != n_p, labels 0.0 (middle p node) and -0.0 (x_max), negative W
+    s = normalize([0.3, 1.0, -0.5j, 0.2])
+    g = wigner_grid(s, x_min=-2.0, x_max=-0.0, p_min=-1.5, p_max=1.5, nx=5, n_p=7)
+    xs, ps = np.linspace(-2.0, -0.0, 5), np.linspace(-1.5, 1.5, 7)
+    assert "-0" in {f"{x:.17g}" for x in xs} and "0" in {f"{p:.17g}" for p in ps}
+    assert g.values.min() < 0.0
+    want = ["x,p,W"]
+    for i in range(5):
+        for j in range(7):
+            want.append(f"{xs[i]:.17g},{ps[j]:.17g},{g.values[i, j]:.17g}")
+    assert g.to_csv_text() == "\n".join(want) + "\n"
 
 
 def test_quadrature_spec_validation():
