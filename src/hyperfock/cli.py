@@ -461,7 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow shows as a non-finite result, which the commands reject
+        # with exit 3; numpy's warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _PARAM_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS

@@ -9,7 +9,9 @@ their pointwise agreement is a meaningful correctness check.
 One kernel, _laguerre_sum, evaluates every Laguerre sum of the closed form:
 grid and point values, and the radial modes g_a of the separable polar form
 W(r, t) = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat} that the log-negativity
-quadrature uses.
+quadrature uses. There the angle enters through real products with cos(at)
+and sin(at) on half the circle, since W at t and -t share them; for the
+real amplitudes of every state family the sin part vanishes.
 
 Units are dimensionless oscillator quadratures (hbar = 1), in which the
 vacuum Wigner function peaks at 1/pi.
@@ -162,20 +164,28 @@ def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     return out * (np.exp(-r2) / math.pi)
 
 
-def _wigner_polar(amps: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """W(r_i cos t_j, r_i sin t_j) as values[i, j]. With ip - x = -r e^{-it}
-    the expansion separates, W = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat}:
-    the radial modes g_a need the radial nodes only, and the angle enters
-    through one matrix product."""
+def _wigner_polar(amps: np.ndarray, r: np.ndarray, theta: np.ndarray):
+    """W on polar nodes in mirror pairs: W(r_i, +-t_j) = C[i, j] +- S[i, j],
+    returned as (C, S).
+
+    With ip - x = -r e^{-it} the expansion separates,
+    W = Re sum_a g_a(r) e^{-iat}, where the radial modes g_a (the envelope
+    exp(-r^2)/pi included) need the radial nodes only. The angle enters
+    through two real matrix products, C = Re g . cos(at) and
+    S = Im g . sin(at). Real amplitudes make every g_a real; then the
+    Laguerre sums run in real arithmetic and S is None.
+    """
+    if not np.any(amps.imag):
+        amps = amps.real
     z = 2.0 * r * r
-    modes = np.empty((len(r), len(amps)), dtype=complex)
-    rpow = np.ones(len(r))
+    modes = np.empty((len(r), len(amps)), dtype=amps.dtype)
+    rpow = np.exp(-r * r) / math.pi
     for a, w in _pair_weights(amps):
-        acc = _laguerre_sum(w, a, z)
-        modes[:, a] = acc if a == 0 else 2.0 * acc * rpow
+        modes[:, a] = _laguerre_sum(w, a, z) * (rpow if a == 0 else 2.0 * rpow)
         rpow = rpow * -r
-    phases = np.exp(-1j * np.outer(np.arange(len(amps)), theta))
-    return (modes @ phases).real * (np.exp(-r * r) / math.pi)[:, None]
+    at = np.outer(np.arange(len(amps)), theta)
+    c = modes.real @ np.cos(at)
+    return c, (modes.imag @ np.sin(at) if np.iscomplexobj(modes) else None)
 
 
 def wigner_point(state: FockState, x: float, p: float) -> float:
@@ -294,13 +304,14 @@ def _oracle_integral(
 ) -> complex:
     """One fixed-resolution evaluation of the defining Wigner transform
     (1/pi) * integral over y of conj(psi(x+y)) psi(x-y) exp(2ipy), with
-    `nodes` rounded up to whole sub-panels of the composite rule."""
-    y, w = _leggauss_scaled(-(-nodes // _GL_ORDER), -y_cutoff, y_cutoff)
-    vals = (
-        np.conj(_position_wavefunction(amps, x + y))
-        * _position_wavefunction(amps, x - y)
-        * np.exp(2j * p * y)
-    )
+    `nodes` rounded up to an even number of sub-panels of the composite
+    rule. The rule on [0, y_cutoff] is mirrored onto [-y_cutoff, 0], so the
+    nodes are exactly antisymmetric and psi(x - y) is psi(x + y) reversed."""
+    y, w = _leggauss_scaled(-(-nodes // (2 * _GL_ORDER)), 0.0, y_cutoff)
+    y = np.concatenate([-y[::-1], y])
+    w = np.concatenate([w[::-1], w])
+    psi = _position_wavefunction(amps, x + y)
+    vals = np.conj(psi) * psi[::-1] * np.exp(2j * p * y)
     return complex(np.dot(w, vals)) / math.pi
 
 
@@ -348,31 +359,71 @@ class WlnResult(NamedTuple):
 
 def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     """Radial panel boundaries for the disk quadrature: the zeros of the
-    angular-mean Wigner profile, bisected to high precision.
+    angular-mean Wigner profile, each narrowed to a bracket of at most
+    4 eps * radius.
 
     Up to the positive factor exp(-r^2)/pi that profile is the a = 0 mode,
-    sum_n p_n (-1)^n L_n(2 r^2): the off-diagonal modes integrate to zero
-    around the circle. For radially symmetric states its zeros are exactly
-    the kink circles of |W|, so panelized quadrature sees only smooth
-    integrands; for other states they still track the near-circular ring
-    structure. All sign changes on a fine probe are bisected together.
+    g(r) = sum_n p_n (-1)^n L_n(2 r^2): the off-diagonal modes integrate to
+    zero around the circle. For radially symmetric states its zeros are
+    exactly the kink circles of |W|, so panelized quadrature sees only
+    smooth integrands; for other states they still track the near-circular
+    ring structure.
+
+    Each sign change on a fine probe is a bracket, unless g lies below its
+    round-off floor at both ends: each of the d terms is at most
+    |w_n| e^{r^2} (as |L_n(z)| <= e^{z/2}), so sign changes within
+    d * eps * sum |w_n| * e^{r^2} of zero are noise, and |W| has no kink
+    there worth a panel. The brackets are narrowed together by regula falsi
+    with the Illinois step (Dowell & Jarratt, BIT 11, 168 (1971)): an end
+    kept twice in a row has its value halved, so both ends close in
+    superlinearly.
     """
     w = np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2))
     probe = np.linspace(0.0, radius, 4097)
     g = _laguerre_sum(w, 0, 2.0 * probe * probe)
-    idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-    lo, hi, glo = probe[idx], probe[idx + 1], g[idx]
+    floor = len(w) * np.finfo(float).eps * np.abs(w).sum()
+    loud = np.abs(g) * np.exp(-probe * probe) > floor
+    idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (loud[:-1] | loud[1:]))
+    lo, hi, glo, ghi = probe[idx], probe[idx + 1], g[idx], g[idx + 1]
+    kept = np.zeros(len(idx))  # +1: the last step kept hi, -1: it kept lo
+    tol = 4.0 * np.finfo(float).eps * radius
     for _ in range(60):
-        if np.all(np.nextafter(lo, hi) >= hi):  # every bracket has collapsed
+        if np.all(hi - lo <= tol):
             break
-        mid = 0.5 * (lo + hi)
-        gmid = _laguerre_sum(w, 0, 2.0 * mid * mid)
-        same, zero = (glo < 0) == (gmid < 0), gmid == 0.0  # a zero stops there
-        lo, glo = np.where(same | zero, mid, lo), np.where(same, gmid, glo)
-        hi = np.where(same & ~zero, hi, mid)
+        x = lo - glo * (hi - lo) / (ghi - glo)
+        gx = _laguerre_sum(w, 0, 2.0 * x * x)
+        right = (gx < 0) == (glo < 0)  # the zero lies in [x, hi]
+        zero = gx == 0.0  # collapses its bracket onto x, which then stays
+        ghi = np.where(right & (kept > 0), 0.5 * ghi, ghi)
+        glo = np.where(~right & (kept < 0), 0.5 * glo, glo)
+        lo, glo = np.where(right | zero, x, lo), np.where(right, gx, glo)
+        hi, ghi = np.where(right & ~zero, hi, x), np.where(right, ghi, gx)
+        kept = np.where(right, 1.0, -1.0)
     roots = 0.5 * (lo + hi)
     roots = roots[(roots > 1e-6) & (roots < radius - 1e-6)]
     return np.concatenate([[0.0], roots, [radius]])
+
+
+def _angular_integrals(amps: np.ndarray, r: np.ndarray, angular: int):
+    """Per radius r_i, the integrals of |W| and W around the circle, by the
+    uniform midpoint rule with `angular` nodes.
+
+    The nodes come in mirror pairs t and 2 pi - t, so W is evaluated on the
+    first ceil(angular / 2) of them only, as C +- S (see _wigner_polar). A
+    pair adds |C + S| + |C - S| = 2 max(|C|, |S|) to the integral of |W|
+    and 2 C to that of W. For odd counts the node at pi is its own mirror
+    and carries half weight.
+    """
+    half = -(-angular // 2)
+    c, s = _wigner_polar(amps, r, 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
+    pair_weights = np.full(half, 4.0 * math.pi / angular)
+    if angular % 2:
+        pair_weights[-1] *= 0.5
+    signed = c @ pair_weights
+    pair = np.abs(c, out=c)
+    if s is not None:
+        np.maximum(pair, np.abs(s, out=s), out=pair)
+    return pair @ pair_weights, signed
 
 
 def _phase_space_integrals(
@@ -385,10 +436,12 @@ def _phase_space_integrals(
     rings of the angular-mean profile; a panel of width h gets
     q = max(12, round(nodes h / R)) nodes, rounded up to ceil(q/16) equal
     sub-panels of the order-16 Gauss-Legendre rule. Around the circle the
-    rule is the uniform midpoint one, which integrates the finite angular
-    Fourier content of W exactly. Keeping the kinks of |W| on (or near)
-    panel boundaries restores fast radial convergence that a Cartesian
-    grid, whose every row and column crosses the rings, cannot achieve.
+    rule is the uniform midpoint one (_angular_integrals), which integrates
+    the finite angular Fourier content of W exactly and, by the mirror
+    symmetry of its nodes, needs W on half of them. Keeping the kinks of
+    |W| on (or near) panel boundaries restores fast radial convergence that
+    a Cartesian grid, whose every row and column crosses the rings, cannot
+    achieve.
     """
     widths = np.diff(edges)
     r_parts, w_parts = [], []
@@ -398,11 +451,9 @@ def _phase_space_integrals(
         r_parts.append(rp)
         w_parts.append(wp)
     r = np.concatenate(r_parts)
-    wr = np.concatenate(w_parts)
-    theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
-    values = _wigner_polar(amps, r, theta)
-    wt = wr * r * (2.0 * math.pi / angular)
-    return float(wt @ np.abs(values).sum(axis=1)), float(wt @ values.sum(axis=1))
+    wt = np.concatenate(w_parts) * r
+    abs_sums, sums = _angular_integrals(amps, r, angular)
+    return float(wt @ abs_sums), float(wt @ sums)
 
 
 def wigner_log_negativity_detailed(

@@ -8,6 +8,8 @@ from hyperfock import (
     InvalidParams,
     QuadratureNotConverged,
     QuadratureSpec,
+    add_photons,
+    binomial,
     coherent_truncated,
     fock,
     normalize,
@@ -21,6 +23,7 @@ from hyperfock import (
 )
 from hyperfock import wigner
 from hyperfock.wigner import (
+    _angular_integrals,
     _leggauss_scaled,
     _oracle_integral,
     _phase_space_integrals,
@@ -240,27 +243,106 @@ def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
         edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
         _phase_space_integrals(s.amplitudes, edges, 128, 64)
         r, theta = seen.pop()
-        polar = _wigner_polar(s.amplitudes, r, theta)
-        cart = _wigner_array(
-            s.amplitudes, r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)
-        )
-        assert np.max(np.abs(polar - cart)) < 1e-13
+        assert len(theta) == 32  # half of the 64 midpoint nodes
+        c, sn = _wigner_polar(s.amplitudes, r, theta)
+        sn = 0.0 if sn is None else sn
+        for mirror in (1.0, -1.0):  # the nodes t and 2 pi - t
+            cart = _wigner_array(
+                s.amplitudes,
+                r[:, None] * np.cos(theta),
+                mirror * r[:, None] * np.sin(theta),
+            )
+            assert np.max(np.abs(c + mirror * sn - cart)) < 1e-13
+
+
+def _full_circle_sums(amps, r, angular):
+    """Midpoint-rule integrals of |W| and W around each circle, from W at
+    every node of the full circle."""
+    theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
+    values = _wigner_array(amps, r[:, None] * np.cos(theta), r[:, None] * np.sin(theta))
+    step = 2.0 * math.pi / angular
+    return step * np.abs(values).sum(axis=1), step * values.sum(axis=1)
+
+
+def test_half_circle_sums_match_full_circle(rng):
+    real = [pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1)),
+            coherent_truncated(1.5, 16), normalize(rng.normal(size=9))]
+    complex_ = [random_state(rng, d) for d in (3, 12)]
+    for s in real + complex_:
+        amps = s.amplitudes
+        r = np.linspace(0.0, QuadratureSpec().radius(s), 97)[1:]
+        assert (_wigner_polar(amps, r, np.zeros(1))[1] is None) == (s in real)
+        for angular in (64, 33):
+            abs_sums, sums = _angular_integrals(amps, r, angular)
+            ref_abs, ref = _full_circle_sums(amps, r, angular)
+            assert np.all(np.abs(abs_sums - ref_abs) <= 1e-13 * ref_abs)
+            assert np.all(np.abs(sums - ref) <= 1e-13 * ref_abs)
+
+
+def _mean_profile(amps, r):
+    """sum_n p_n (-1)^n L_n(2 r^2) by numpy's Clenshaw evaluation."""
+    from numpy.polynomial.laguerre import lagval
+
+    probs = np.abs(amps) ** 2
+    return lagval(2.0 * np.asarray(r) ** 2, probs * (-1.0) ** np.arange(len(probs)))
 
 
 def test_panel_edges_bracket_sign_changes_of_mean_profile(rng):
-    from numpy.polynomial.laguerre import lagval
-
     for s in _separable_form_states(rng):
-        probs = np.abs(s.amplitudes) ** 2
-        signed = probs * (-1.0) ** np.arange(len(probs))
         radius = QuadratureSpec().radius(s)
         edges = _radial_panel_edges(s.amplitudes, radius)
         assert edges[0] == 0.0 and edges[-1] == radius
         step = 1e-9 * radius
         for e in edges[1:-1]:
-            below = lagval(2.0 * (e - step) ** 2, signed)
-            above = lagval(2.0 * (e + step) ** 2, signed)
-            assert below * above < 0.0
+            assert _mean_profile(s.amplitudes, e - step) * _mean_profile(
+                s.amplitudes, e + step
+            ) < 0.0
+
+
+def test_panel_edges_match_bisection(rng):
+    states = _separable_form_states(rng) + [
+        pahs(HypergeometricParams(pinned_L(40, 0.9, 2.0), 40, 0.9, 1)),
+        pahs(HypergeometricParams(pinned_L(16, 0.95, 10.0), 16, 0.95, 2)),
+    ]
+    for s in states:
+        radius = QuadratureSpec().radius(s)
+        edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
+        spacing = radius / 4096  # the probe spacing of the edge finder
+        lo, hi = edges - spacing, edges + spacing
+        glo = _mean_profile(s.amplitudes, lo)
+        assert np.all(glo * _mean_profile(s.amplitudes, hi) < 0.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            left = _mean_profile(s.amplitudes, mid) * glo <= 0.0
+            lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        assert np.max(np.abs(edges - 0.5 * (lo + hi)), initial=0.0) <= 1e-14 * radius
+
+
+def test_panel_edge_step_onto_an_exact_zero_stops_its_bracket(monkeypatch):
+    calls = []
+
+    def profile(w, a, z):  # one zero, at r = 1, and exactly 0.0 within 1e-6 of it
+        calls.append(len(z))
+        r = np.sqrt(0.5 * z)
+        return np.where(np.abs(r - 1.0) < 1e-6, 0.0, r - 1.0)
+
+    monkeypatch.setattr(wigner, "_laguerre_sum", profile)
+    edges = _radial_panel_edges(fock(1, 2).amplitudes, 3.0)
+    assert len(edges) == 3 and abs(edges[1] - 1.0) < 1e-6
+    assert calls == [4097, 1]  # the probe, then one step that lands on the zero
+
+
+def test_panel_edges_skip_round_off_sign_changes():
+    # the mean profile of this state is nil to round-off (|g| <= 2e-16)
+    # for r < 0.02, where a noise sign change used to become an edge
+    s = add_photons(binomial(6, 0.5), 2)
+    radius = QuadratureSpec().radius(s)
+    edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
+    spacing = radius / 4096
+    for e in edges:
+        near = _mean_profile(s.amplitudes, np.linspace(e - spacing, e + spacing, 9))
+        assert np.max(np.abs(near)) >= 1e-15
+    assert len(edges) == 4 and edges[0] > 0.5
 
 
 def test_panel_edges_computed_once_per_wln_call(monkeypatch):
