@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -362,7 +363,7 @@ def cmd_wigner(args) -> int:
         )
     out_path = _resolve_out_path(args.out)
     with open(out_path, "w") as fh:
-        fh.write(grid.to_csv_text())
+        fh.writelines(grid.csv_rows())
     sidecar = {
         "family": args.family,
         "params": params,
@@ -458,8 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first main call: building it costs
+# as much as a small command, and parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # overflow shows as a non-finite result, which the commands reject
         # with exit 3; numpy's warnings would only repeat it on stderr

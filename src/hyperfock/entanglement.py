@@ -104,6 +104,11 @@ def purity_closed_form_pahs(p: HypergeometricParams) -> float:
     (m, r, k1) block, so the cost is O(M^4) time and O(M^3) memory. The
     sum shares p_i and N with the state constructors, which tests certify
     on their own, and nothing with the dense splitter path it checks.
+
+    Range: the block holds (M+1)^2 (M+k+1) float64 log weights, and a
+    temporary of the same size is made while it is built, about 8 GB each
+    at M = 1000. This oracle therefore serves far smaller M than the CLI's
+    1001 Fock levels; the CLI's concurrence takes the dense path.
     """
     M, k = p.M, p.k
     i = np.arange(M + 1)

@@ -6,8 +6,11 @@ kernels; the oracle integrates the defining transform of the position
 wavefunction numerically. They share no code beyond the state itself, so
 their pointwise agreement is a meaningful correctness check.
 
-One kernel, _laguerre_sum, evaluates every Laguerre sum of the closed form:
-grid and point values, and the radial modes g_a of the separable polar form
+One kernel, _laguerre_sums, evaluates every Laguerre sum of the closed form.
+Its single upward recurrence in n yields sum_n w[a, n] L_n^a(z) for a block
+of Fock offsets a at once, from the offset-major pair weights of
+_pair_weights. It gives grid and point values, the radial profile that
+places the panel edges, and the radial modes g_a of the separable polar form
 W(r, t) = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat} that the log-negativity
 quadrature uses. There the angle enters through real products with cos(at)
 and sin(at) on half the circle, since W at t and -t share them; for the
@@ -63,6 +66,12 @@ _ORACLE_FAIL = 1e-7
 # log-negativity refinement: node doublings allowed before giving up
 _WLN_MAX_DOUBLINGS = 2
 
+# Fock offsets and radial nodes per Laguerre recurrence of the polar modes:
+# its buffers then hold at most 16 x 4096 values (512 kB) each at any d,
+# and a state of up to 16 levels takes all its offsets in one recurrence
+_OFFSET_BLOCK = 16
+_NODE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -111,31 +120,80 @@ class QuadratureSpec:
         return float(self.cutoff)
 
 
-def _pair_weights(amps: np.ndarray):
-    """Yield (a, w) per Fock offset a, with the weights
-    w_n = conj(c_n) c_{n+a} (-1)^(n+a) sqrt(2^a n!/(n+a)!) of the pairs
-    (n, n + a) in the Wigner double sum, assembled in log space."""
+def _pair_weights(amps: np.ndarray, lo: int = 0, hi: int | None = None):
+    """Weights of the Fock-index pairs (n, n + a) in the Wigner double sum,
+    w_n = conj(c_n) c_{n+a} (-1)^(n+a) sqrt(2^a n!/(n+a)!), assembled in log
+    space for the offsets lo <= a < hi, where hi is at most (and by
+    default) d.
+
+    Offset-major and zero-padded: row a - lo holds the d - a weights of
+    offset a and zeros past them, in d - lo columns, so rows shrink as a
+    grows (the layout _laguerre_sums steps through). They are assembled
+    _OFFSET_BLOCK rows at a time, which bounds the temporaries to that many
+    rows at any d.
+    """
     d = len(amps)
+    hi = d if hi is None else min(hi, d)
+    w = np.zeros((hi - lo, d - lo), dtype=amps.dtype)
     log_fact = gammaln(np.arange(d) + 1.0)
-    for a in range(d):
-        n = np.arange(d - a)
-        log_coeff = 0.5 * (a * _LN2 + log_fact[n] - log_fact[n + a])
+    for a0 in range(lo, hi, _OFFSET_BLOCK):
+        rows, cols = min(_OFFSET_BLOCK, hi - a0), d - a0
+        # flat index arrays: numpy takes complex products of 1-d arrays
+        # through one loop whatever their length, so each weight comes out
+        # bit for bit as a row at a time gives it (2-d operands with a unit
+        # axis may not)
+        a, n = np.divmod(np.arange(rows * cols), cols)
+        a += a0
+        partner = np.minimum(n + a, d - 1)  # clamped on the padding
+        log_coeff = 0.5 * (a * _LN2 + log_fact[n] - log_fact[partner])
         signs = 1.0 - 2.0 * ((n + a) % 2)
-        yield a, np.conj(amps[: d - a]) * amps[a:] * signs * np.exp(log_coeff)
+        block = np.conj(amps[n]) * amps[partner] * signs * np.exp(log_coeff)
+        block[n + a >= d] = 0.0
+        w[a0 - lo : a0 - lo + rows, :cols] = block.reshape(rows, cols)
+    return w
 
 
-def _laguerre_sum(w: np.ndarray, a: int, z: np.ndarray) -> np.ndarray:
-    """sum_n w_n L_n^a(z) over an array z, generating the generalized
-    Laguerre values by the three-term upward recurrence in n."""
-    acc = w[0] * np.ones(z.shape, dtype=np.result_type(w, z))  # L_0^a = 1
-    l_prev, l_curr = 0.0, np.ones(z.shape)  # L_{-1}^a = 0, L_0^a = 1
-    for n in range(1, len(w)):
-        l_prev, l_curr = (
-            l_curr,
-            ((2.0 * n - 1.0 + a - z) * l_curr - (n - 1.0 + a) * l_prev) / n,
-        )
-        acc += w[n] * l_curr
-    return acc
+def _laguerre_sums(w: np.ndarray, a: int, z: np.ndarray) -> np.ndarray:
+    """Row i: sum_n w[i, n] L_n^{a+i}(z) over a 1-d array z, for the block
+    of consecutive Fock offsets a, a + 1, ... that the rows of w hold.
+
+    One three-term upward recurrence in n serves the whole block. The rows
+    shrink as in _pair_weights: row i ends at column N - i (N = w.shape[1]),
+    so step n updates the first N - n rows only. Every element goes through
+    the operations of the one-offset step
+    L_n = ((2n - 1 + a - z) L_{n-1} - (n - 1 + a) L_{n-2}) / n, in that
+    order, in place in rotating buffers.
+    """
+    rows, cols = w.shape
+    # one offset runs on 1-d buffers and 0-d coefficients: numpy's loops
+    # over operands of one shape cost half its broadcasting ones on few z
+    col = (rows, 1) if rows > 1 else ()
+    shape = col[:1] + z.shape
+    sums = w[:, 0].reshape(col) * np.ones(shape, dtype=np.result_type(w, z))
+    # the exact integer coefficients 2n - 1 + a and n - 1 + a, per step n
+    level = np.arange(cols, dtype=float).reshape((cols,) + len(col) * (1,))
+    offsets = (a + np.arange(rows, dtype=float)).reshape(col)
+    rise, fall = 2.0 * level - 1.0 + offsets, level - 1.0 + offsets
+    w_at = w.T.reshape((cols,) + col)
+    acc, s = sums, np.empty(shape)
+    term = np.empty_like(sums) if np.iscomplexobj(sums) else s  # s is free by then
+    l_prev, l_curr = np.zeros(shape), np.ones(shape)  # L_{-1}^a = 0, L_0^a = 1
+    live = rows
+    for n in range(1, cols):
+        k = cols - n
+        if k < live:  # offset a + k has no pair at level n
+            live = k
+            acc, s, term, l_prev, l_curr = acc[:k], s[:k], term[:k], l_prev[:k], l_curr[:k]
+            rise, fall, w_at = rise[:, :k], fall[:, :k], w_at[:, :k]
+        np.subtract(rise[n], z, out=s)
+        s *= l_curr
+        l_prev *= fall[n]
+        np.subtract(s, l_prev, out=l_prev)
+        l_prev /= n
+        l_prev, l_curr = l_curr, l_prev
+        np.multiply(w_at[n], l_curr, out=term)
+        acc += term
+    return sums.reshape(rows, len(z))
 
 
 def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
@@ -144,46 +202,64 @@ def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     The double Fock sum is folded onto ordered pairs n <= n' = n + a: the
     kernel is Hermitian under index swap, so each off-diagonal pair
     contributes twice the real part of one term, carrying (ip - x)^a.
-    For array input each Laguerre sum is taken once per distinct z = 2 r^2
-    and scattered back, which gives the same values bit for bit.
+    A point takes _OFFSET_BLOCK offsets per recurrence. Array input takes
+    one offset per recurrence, which holds its buffers to the size of z,
+    and each Laguerre sum once per distinct z = 2 r^2, scattered back. All
+    of these give the same values bit for bit.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     r2 = x * x + p * p
     z = 2.0 * r2
-    if z.ndim:  # a point keeps the direct path: np.unique would triple its cost
+    if z.ndim:
         zu, inv = np.unique(z, return_inverse=True)
         inv = inv.reshape(z.shape)  # its shape differs across numpy 2.x releases
+        rows = 1
+    else:  # np.unique would triple the cost of a point
+        zu, inv, rows = z[None], 0, _OFFSET_BLOCK
     out = np.zeros(z.shape)
     zstep = 1j * p - x
     zpow = np.ones(z.shape, dtype=complex)
-    for a, w in _pair_weights(amps):
-        acc = _laguerre_sum(w, a, zu)[inv] if z.ndim else _laguerre_sum(w, a, z)
-        out += acc.real if a == 0 else 2.0 * (acc * zpow).real
-        zpow = zpow * zstep
+    for a0 in range(0, len(amps), rows):
+        sums = _laguerre_sums(_pair_weights(amps, a0, a0 + rows), a0, zu)
+        for a, acc in enumerate(sums, a0):
+            acc = acc[inv]
+            out += acc.real if a == 0 else 2.0 * (acc * zpow).real
+            zpow = zpow * zstep
     return out * (np.exp(-r2) / math.pi)
 
 
-def _wigner_polar(amps: np.ndarray, r: np.ndarray, theta: np.ndarray):
+def _wigner_polar(weights: np.ndarray, r: np.ndarray, theta: np.ndarray):
     """W on polar nodes in mirror pairs: W(r_i, +-t_j) = C[i, j] +- S[i, j],
-    returned as (C, S).
+    returned as (C, S), for the state with these _pair_weights.
 
     With ip - x = -r e^{-it} the expansion separates,
     W = Re sum_a g_a(r) e^{-iat}, where the radial modes g_a (the envelope
-    exp(-r^2)/pi included) need the radial nodes only. The angle enters
-    through two real matrix products, C = Re g . cos(at) and
-    S = Im g . sin(at). Real amplitudes make every g_a real; then the
-    Laguerre sums run in real arithmetic and S is None.
+    exp(-r^2)/pi included) need the radial nodes only. Each recurrence
+    covers up to _OFFSET_BLOCK offsets on up to _NODE_BLOCK nodes; the
+    factors (-r)^a exp(-r^2)/pi are running products over a, carried from
+    one block of offsets to the next. The angle enters through two real
+    matrix products, C = Re g . cos(at) and S = Im g . sin(at). Real
+    weights make every g_a real; then the Laguerre sums run in real
+    arithmetic and S is None.
     """
-    if not np.any(amps.imag):
-        amps = amps.real
-    z = 2.0 * r * r
-    modes = np.empty((len(r), len(amps)), dtype=amps.dtype)
-    rpow = np.exp(-r * r) / math.pi
-    for a, w in _pair_weights(amps):
-        modes[:, a] = _laguerre_sum(w, a, z) * (rpow if a == 0 else 2.0 * rpow)
-        rpow = rpow * -r
-    at = np.outer(np.arange(len(amps)), theta)
+    d = len(weights)
+    modes = np.empty((len(r), d), dtype=weights.dtype)
+    for lo in range(0, len(r), _NODE_BLOCK):
+        rb = r[lo : lo + _NODE_BLOCK]
+        z = 2.0 * rb * rb
+        rpow = np.exp(-rb * rb) / math.pi  # (-r)^a0 exp(-r^2)/pi
+        for a0 in range(0, d, _OFFSET_BLOCK):
+            rows = min(_OFFSET_BLOCK, d - a0)
+            envelope = np.empty((rows + 1, len(rb)))
+            envelope[0], envelope[1:] = rpow, -rb
+            np.multiply.accumulate(envelope, axis=0, out=envelope)
+            rpow = envelope[rows]
+            envelope[int(a0 == 0) : rows] *= 2.0  # the folded pairs a > 0
+            block = _laguerre_sums(weights[a0 : a0 + rows, : d - a0], a0, z)
+            block *= envelope[:rows]
+            modes[lo : lo + len(rb), a0 : a0 + rows] = block.T
+    at = np.outer(np.arange(d), theta)
     c = modes.real @ np.cos(at)
     return c, (modes.imag @ np.sin(at) if np.iscomplexobj(modes) else None)
 
@@ -219,15 +295,20 @@ class WignerGrid:
         inner = np.trapezoid(self.values, self.p_nodes, axis=1)
         return float(np.trapezoid(inner, self.x_nodes))
 
-    def to_csv_text(self) -> str:
-        """One "x,p,W" line per node, every number as %.17g; each row is
-        formatted through one template that holds its labels."""
+    def csv_rows(self):
+        """The CSV text in pieces: the "x,p,W" header, then the lines of one
+        x node at a time, one line per node with every number as %.17g.
+        Each x row is formatted through one template that holds its
+        labels."""
         ps = ["%.17g" % p for p in self.p_nodes.tolist()]
-        lines = ["x,p,W\n"]
+        yield "x,p,W\n"
         for x, row in zip(self.x_nodes.tolist(), self.values.tolist()):
             pre = "%.17g," % x
-            lines.append("".join(pre + p + ",%.17g\n" for p in ps) % tuple(row))
-        return "".join(lines)
+            yield "".join(pre + p + ",%.17g\n" for p in ps) % tuple(row)
+
+    def to_csv_text(self) -> str:
+        """The whole CSV text of csv_rows as one string."""
+        return "".join(self.csv_rows())
 
 
 def wigner_grid(
@@ -380,7 +461,7 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     """
     w = np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2))
     probe = np.linspace(0.0, radius, 4097)
-    g = _laguerre_sum(w, 0, 2.0 * probe * probe)
+    g = _laguerre_sums(w[None], 0, 2.0 * probe * probe)[0]
     floor = len(w) * np.finfo(float).eps * np.abs(w).sum()
     loud = np.abs(g) * np.exp(-probe * probe) > floor
     idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (loud[:-1] | loud[1:]))
@@ -391,7 +472,7 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
         if np.all(hi - lo <= tol):
             break
         x = lo - glo * (hi - lo) / (ghi - glo)
-        gx = _laguerre_sum(w, 0, 2.0 * x * x)
+        gx = _laguerre_sums(w[None], 0, 2.0 * x * x)[0]
         right = (gx < 0) == (glo < 0)  # the zero lies in [x, hi]
         zero = gx == 0.0  # collapses its bracket onto x, which then stays
         ghi = np.where(right & (kept > 0), 0.5 * ghi, ghi)
@@ -404,7 +485,7 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     return np.concatenate([[0.0], roots, [radius]])
 
 
-def _angular_integrals(amps: np.ndarray, r: np.ndarray, angular: int):
+def _angular_integrals(weights: np.ndarray, r: np.ndarray, angular: int):
     """Per radius r_i, the integrals of |W| and W around the circle, by the
     uniform midpoint rule with `angular` nodes.
 
@@ -415,7 +496,7 @@ def _angular_integrals(amps: np.ndarray, r: np.ndarray, angular: int):
     and carries half weight.
     """
     half = -(-angular // 2)
-    c, s = _wigner_polar(amps, r, 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
+    c, s = _wigner_polar(weights, r, 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
     pair_weights = np.full(half, 4.0 * math.pi / angular)
     if angular % 2:
         pair_weights[-1] *= 0.5
@@ -427,9 +508,10 @@ def _angular_integrals(amps: np.ndarray, r: np.ndarray, angular: int):
 
 
 def _phase_space_integrals(
-    amps: np.ndarray, edges: np.ndarray, nodes: int, angular: int
+    weights: np.ndarray, edges: np.ndarray, nodes: int, angular: int
 ):
-    """Integrals of |W| and W over the disk of radius edges[-1].
+    """Integrals of |W| and W over the disk of radius edges[-1], for the
+    state with these _pair_weights.
 
     Tensor-product rule in polar coordinates. In r, against the r dr
     measure, the disk is split into panels at the given edges, the zero
@@ -452,7 +534,7 @@ def _phase_space_integrals(
         w_parts.append(wp)
     r = np.concatenate(r_parts)
     wt = np.concatenate(w_parts) * r
-    abs_sums, sums = _angular_integrals(amps, r, angular)
+    abs_sums, sums = _angular_integrals(weights, r, angular)
     return float(wt @ abs_sums), float(wt @ sums)
 
 
@@ -474,15 +556,17 @@ def wigner_log_negativity_detailed(
     quad = quad if quad is not None else QuadratureSpec()
     amps = state.amplitudes
     edges = _radial_panel_edges(amps, quad.radius(state))
+    # real amplitudes (every state family) give real weights and modes
+    weights = _pair_weights(amps if np.any(amps.imag) else amps.real)
     nodes, angular = quad.nodes, quad.angular_nodes
-    value = math.log(_phase_space_integrals(amps, edges, nodes, angular)[0])
+    value = math.log(_phase_space_integrals(weights, edges, nodes, angular)[0])
     for _ in range(_WLN_MAX_DOUBLINGS):
         if not math.isfinite(value):  # overflow; more nodes cannot repair it
             raise QuadratureNotConverged(
                 f"log-negativity is {value} at {nodes} x {angular} nodes"
             )
         nodes, angular, coarse = 2 * nodes, 2 * angular, value
-        abs_int, total = _phase_space_integrals(amps, edges, nodes, angular)
+        abs_int, total = _phase_space_integrals(weights, edges, nodes, angular)
         value = math.log(abs_int)
         delta = abs(value - coarse)
         if delta <= quad.wln_tolerance:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperfock import fock, wigner_grid
+from hyperfock import cli
 from hyperfock.cli import FAMILIES, main
 
 
@@ -195,6 +197,9 @@ def test_wigner_grid_command(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "p", "W"]
     assert len(rows) == 1 + 41 * 41
+    # the rows streamed to the file are the text to_csv_text builds
+    grid = wigner_grid(fock(0, 1), nx=41, n_p=41)
+    assert out_path.read_bytes() == grid.to_csv_text().encode()
 
 
 def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path):
@@ -286,6 +291,23 @@ def test_invalid_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "measures", "pahs", "--M", "5", "--eta", "1.5")
     assert code == 2
     assert "eta" in err
+
+
+def test_main_calls_in_a_row_share_no_flags(capsys):
+    """main reuses one parser; no call may see the flags of the last."""
+    argv = ["measures", "pahs", "--M", "4", "--eta", "0.3", "--k", "1",
+            "--measures", "mu,mean_n"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.startswith("L,M,eta,k,mean_n,mu\n")
+    code, json_out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(json_out)["params"]["M"] == 4
+    with pytest.raises(SystemExit) as exc:  # argparse usage error
+        main([*argv, "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == 0 and again == json_out
+    assert cli._parser.cache_info().misses == 1  # built once in this process
 
 
 def test_missing_required_flag_exit_code(capsys):

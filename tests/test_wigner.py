@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from hyperfock import (
     HypergeometricParams,
@@ -26,6 +27,7 @@ from hyperfock.wigner import (
     _angular_integrals,
     _leggauss_scaled,
     _oracle_integral,
+    _pair_weights,
     _phase_space_integrals,
     _radial_panel_edges,
     _wigner_array,
@@ -231,20 +233,26 @@ def _separable_form_states(rng):
     return states + [pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1))]
 
 
+def _polar_weights(amps):
+    """The pair weights the log-negativity uses: real for real amplitudes."""
+    return _pair_weights(amps if np.any(amps.imag) else amps.real)
+
+
 def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
     seen = []
 
-    def spy(amps, r, theta):
+    def spy(weights, r, theta):
         seen.append((r, theta))
-        return _wigner_polar(amps, r, theta)
+        return _wigner_polar(weights, r, theta)
 
     monkeypatch.setattr(wigner, "_wigner_polar", spy)
     for s in _separable_form_states(rng):
+        weights = _polar_weights(s.amplitudes)
         edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
-        _phase_space_integrals(s.amplitudes, edges, 128, 64)
+        _phase_space_integrals(weights, edges, 128, 64)
         r, theta = seen.pop()
         assert len(theta) == 32  # half of the 64 midpoint nodes
-        c, sn = _wigner_polar(s.amplitudes, r, theta)
+        c, sn = _wigner_polar(weights, r, theta)
         sn = 0.0 if sn is None else sn
         for mirror in (1.0, -1.0):  # the nodes t and 2 pi - t
             cart = _wigner_array(
@@ -270,10 +278,11 @@ def test_half_circle_sums_match_full_circle(rng):
     complex_ = [random_state(rng, d) for d in (3, 12)]
     for s in real + complex_:
         amps = s.amplitudes
+        weights = _polar_weights(amps)
         r = np.linspace(0.0, QuadratureSpec().radius(s), 97)[1:]
-        assert (_wigner_polar(amps, r, np.zeros(1))[1] is None) == (s in real)
+        assert (_wigner_polar(weights, r, np.zeros(1))[1] is None) == (s in real)
         for angular in (64, 33):
-            abs_sums, sums = _angular_integrals(amps, r, angular)
+            abs_sums, sums = _angular_integrals(weights, r, angular)
             ref_abs, ref = _full_circle_sums(amps, r, angular)
             assert np.all(np.abs(abs_sums - ref_abs) <= 1e-13 * ref_abs)
             assert np.all(np.abs(sums - ref) <= 1e-13 * ref_abs)
@@ -322,11 +331,12 @@ def test_panel_edge_step_onto_an_exact_zero_stops_its_bracket(monkeypatch):
     calls = []
 
     def profile(w, a, z):  # one zero, at r = 1, and exactly 0.0 within 1e-6 of it
+        assert w.shape[0] == 1 and a == 0  # the a = 0 mode alone
         calls.append(len(z))
         r = np.sqrt(0.5 * z)
-        return np.where(np.abs(r - 1.0) < 1e-6, 0.0, r - 1.0)
+        return np.where(np.abs(r - 1.0) < 1e-6, 0.0, r - 1.0)[None]
 
-    monkeypatch.setattr(wigner, "_laguerre_sum", profile)
+    monkeypatch.setattr(wigner, "_laguerre_sums", profile)
     edges = _radial_panel_edges(fock(1, 2).amplitudes, 3.0)
     assert len(edges) == 3 and abs(edges[1] - 1.0) < 1e-6
     assert calls == [4097, 1]  # the probe, then one step that lands on the zero
@@ -346,15 +356,16 @@ def test_panel_edges_skip_round_off_sign_changes():
 
 
 def test_panel_edges_computed_once_per_wln_call(monkeypatch):
-    edge_calls, pass_nodes = [], []
+    edge_calls, pass_nodes, pass_weights = [], [], []
 
     def edges_spy(amps, radius):
         edge_calls.append(radius)
         return _radial_panel_edges(amps, radius)
 
-    def integrals_spy(amps, edges, nodes, angular):
+    def integrals_spy(weights, edges, nodes, angular):
         pass_nodes.append(nodes)
-        return _phase_space_integrals(amps, edges, nodes, angular)
+        pass_weights.append(weights)
+        return _phase_space_integrals(weights, edges, nodes, angular)
 
     monkeypatch.setattr(wigner, "_radial_panel_edges", edges_spy)
     monkeypatch.setattr(wigner, "_phase_space_integrals", integrals_spy)
@@ -368,9 +379,13 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
     ):
         edge_calls.clear()
         pass_nodes.clear()
+        pass_weights.clear()
         wigner_log_negativity_detailed(s, quad)
         assert pass_nodes == passes
         assert edge_calls == [QuadratureSpec().radius(s)]
+        # one real weight matrix per state, shared by every pass
+        assert all(w is pass_weights[0] for w in pass_weights)
+        assert pass_weights[0].dtype == np.float64
 
 
 def test_wln_respects_explicit_cutoff():
@@ -384,7 +399,7 @@ def test_phase_space_integrals_unit_mass(rng):
     for dim in (1, 4, 9):
         s = random_state(rng, dim)
         edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
-        _, total = _phase_space_integrals(s.amplitudes, edges, 256, 128)
+        _, total = _phase_space_integrals(_pair_weights(s.amplitudes), edges, 256, 128)
         assert abs(total - 1.0) < 1e-9
 
 
@@ -414,3 +429,104 @@ def test_no_gauss_legendre_rule_built_at_run_time(monkeypatch):
     got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=1e-5))
     assert got.nodes == 2048
     assert abs(wigner_oracle_point(s, 1.0, -0.5) - wigner_point(s, 1.0, -0.5)) < 1e-7
+
+
+# The per-offset recurrence the blocked kernel replaced, kept here as the
+# reference it must match bit for bit; it shares no code with the library.
+
+
+def _one_offset_weights(amps):
+    d = len(amps)
+    log_fact = gammaln(np.arange(d) + 1.0)
+    for a in range(d):
+        n = np.arange(d - a)
+        log_coeff = 0.5 * (a * math.log(2.0) + log_fact[n] - log_fact[n + a])
+        signs = 1.0 - 2.0 * ((n + a) % 2)
+        yield a, np.conj(amps[: d - a]) * amps[a:] * signs * np.exp(log_coeff)
+
+
+def _one_offset_sum(w, a, z):
+    acc = w[0] * np.ones(z.shape, dtype=np.result_type(w, z))
+    l_prev, l_curr = 0.0, np.ones(z.shape)
+    for n in range(1, len(w)):
+        l_prev, l_curr = (
+            l_curr,
+            ((2.0 * n - 1.0 + a - z) * l_curr - (n - 1.0 + a) * l_prev) / n,
+        )
+        acc += w[n] * l_curr
+    return acc
+
+
+def _one_offset_cartesian(amps, x, p):
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    r2 = x * x + p * p
+    z = 2.0 * r2
+    if z.ndim:
+        zu, inv = np.unique(z, return_inverse=True)
+        inv = inv.reshape(z.shape)
+    out = np.zeros(z.shape)
+    zstep = 1j * p - x
+    zpow = np.ones(z.shape, dtype=complex)
+    for a, w in _one_offset_weights(amps):
+        acc = _one_offset_sum(w, a, zu)[inv] if z.ndim else _one_offset_sum(w, a, z)
+        out += acc.real if a == 0 else 2.0 * (acc * zpow).real
+        zpow = zpow * zstep
+    return out * (np.exp(-r2) / math.pi)
+
+
+def _one_offset_polar(amps, r, theta):
+    if not np.any(amps.imag):
+        amps = amps.real
+    z = 2.0 * r * r
+    modes = np.empty((len(r), len(amps)), dtype=amps.dtype)
+    rpow = np.exp(-r * r) / math.pi
+    for a, w in _one_offset_weights(amps):
+        modes[:, a] = _one_offset_sum(w, a, z) * (rpow if a == 0 else 2.0 * rpow)
+        rpow = rpow * -r
+    at = np.outer(np.arange(len(amps)), theta)
+    c = modes.real @ np.cos(at)
+    return c, (modes.imag @ np.sin(at) if np.iscomplexobj(modes) else None)
+
+
+def _kernel_states(rng):
+    for d in (1, 2, 12, 42, 201):
+        yield random_state(rng, d)
+        yield normalize(rng.normal(size=d))
+    yield pahs(HypergeometricParams(pinned_L(10, 0.9, 2.0), 10, 0.9, 1))
+
+
+def _assert_same_polar(s, r):
+    theta = np.linspace(0.1, 3.0, 5)
+    c, sn = _wigner_polar(_polar_weights(s.amplitudes), r, theta)
+    ref_c, ref_s = _one_offset_polar(s.amplitudes, r, theta)
+    assert np.array_equal(c, ref_c)
+    assert (sn is None and ref_s is None) or np.array_equal(sn, ref_s)
+
+
+def test_blocked_kernel_matches_one_offset_recurrence_bit_for_bit(rng, monkeypatch):
+    # small blocks, so that node counts fall below, on and across a node
+    # block, and states of more than 5 levels span several offset blocks
+    monkeypatch.setattr(wigner, "_NODE_BLOCK", 8)
+    monkeypatch.setattr(wigner, "_OFFSET_BLOCK", 5)
+    for s in _kernel_states(rng):
+        amps = s.amplitudes
+        radius = QuadratureSpec().radius(s)
+        for count in (7, 8, 9, 17) if s.dim < 201 else (17,):
+            _assert_same_polar(s, np.linspace(0.01, radius, count))
+        xs, ps = np.linspace(-3.0, 2.0, 5), np.linspace(-2.5, 2.5, 4)
+        grid = wigner_grid(s, -3.0, 2.0, -2.5, 2.5, 5, 4)
+        assert np.array_equal(grid.values, _one_offset_cartesian(amps, xs[:, None], ps))
+        for x, p in rng.uniform(-3.0, 3.0, size=(2 if s.dim < 201 else 1, 2)):
+            assert wigner_point(s, x, p) == _one_offset_cartesian(amps, x, p)
+
+
+def test_blocked_kernel_matches_one_offset_recurrence_at_the_default_blocks(rng):
+    block = wigner._NODE_BLOCK
+    for d in (1, 12):
+        for s in (random_state(rng, d), normalize(rng.normal(size=d))):
+            for count in (block - 1, block, block + 1):
+                _assert_same_polar(s, np.linspace(0.01, 6.0, count))
+    # more levels than one offset block holds
+    for s in (random_state(rng, 42), normalize(rng.normal(size=42))):
+        _assert_same_polar(s, np.linspace(0.01, 10.0, 300))
