@@ -17,16 +17,9 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidParams,
-    NegativeCoefficient,
-    QuadratureNotConverged,
-    TruncationTooSmall,
-    ZeroState,
-)
+from .errors import InvalidParams, QuadratureNotConverged
 from .fockspace import add_photons, mean_photon_number, photon_number_distribution
-from .measures import ALL_MEASURES, MeasureReport, measure_report
+from .measures import ALL_MEASURES, measure_report
 from .states import (
     HypergeometricParams,
     binomial,
@@ -43,13 +36,14 @@ EXIT_INVALID_PARAMS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
-_PARAM_ERRORS = (
-    InvalidParams,
-    NegativeCoefficient,
-    TruncationTooSmall,
-    IndexOutOfRange,
-    ZeroState,
+# the exit code of each failure a command reports; every parameter error
+# is an InvalidParams
+_EXIT_CODES = (
+    (InvalidParams, EXIT_INVALID_PARAMS),
+    (QuadratureNotConverged, EXIT_NOT_CONVERGED),
+    (OSError, EXIT_IO),
 )
+_FAILURES = tuple(cls for cls, _ in _EXIT_CODES)
 
 FAMILIES = ("pahs", "hypergeometric", "binomial", "coherent", "fock")
 
@@ -65,6 +59,12 @@ _INT_PARAMS = {"M", "k", "n", "dim"}
 # supported range: integer size inputs and states of at most this many Fock
 # levels; the dense splitter alone holds _MAX_DIM^2 complex amplitudes
 _MAX_DIM = 1001
+# node counts of at most these sizes, 8 or more times their defaults: a grid
+# holds a few arrays of nx * np values, and the last WLN pass, at four times
+# both quadrature counts, a matrix of radial x half-angular nodes
+_MAX_GRID_NODES = 1001
+_MAX_QUAD_NODES = 4096
+_MAX_QUAD_ANGULAR_NODES = 2048
 
 OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
 
@@ -207,13 +207,23 @@ def _measure_columns(names) -> list[str]:
     return sorted(cols)
 
 
-def _report_cells(report: MeasureReport, columns) -> dict:
-    """Measure cells, plus the _WLN_COLUMNS when the report has WLN detail."""
-    cells = {c: getattr(report, c) for c in columns}
+def _measure_cells(cells: dict, family: str, opts: dict, names, quad) -> dict:
+    """Build the state, then fill `cells`: first with its resolved params,
+    so a row whose measures fail keeps them, then with the measure columns
+    of `names` and, when they include wln, the _WLN_COLUMNS. Returns the
+    params."""
+    state, params = _build_state(family, opts)
+    cells.update(params)
+    report = measure_report(state, include=names, quad=quad)
+    cells.update((c, getattr(report, c)) for c in _measure_columns(names))
     detail = report.wln_detail
     if detail is not None:
         cells.update(zip(_WLN_COLUMNS, (getattr(detail, f) for f in _WLN_DETAIL)))
-    return cells
+    return params
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def _finite_float(text: str) -> float:
@@ -225,6 +235,20 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int_at_most(cap: int):
+    """argparse type of a flag that sizes arrays: only integers up to cap
+    pass (exit 2), before anything is computed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {value}")
+        return value
+    return parse
 
 
 # ---------------------------------------------------------------- commands
@@ -246,12 +270,11 @@ def cmd_state(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    state, params = _build_state(args.family, vars(args))
     names = _measure_names(args.measures)
-    report = measure_report(state, params, include=names, quad=_quad_from_args(args))
+    cells = {}
+    params = _measure_cells(cells, args.family, vars(args), names, _quad_from_args(args))
     columns = _measure_columns(names)
     wln_cols = _WLN_COLUMNS if "wln" in names else []
-    cells = {**params, **_report_cells(report, columns)}
     if args.format == "csv":
         header = sorted(params) + columns + wln_cols
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -268,24 +291,19 @@ def cmd_measures(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(family, opts, param, value, names, quad, columns):
-    """Compute one sweep row; returns (cells, error_kind)."""
+def _sweep_row(family, opts, param, value, names, quad):
+    """Compute one sweep row; returns (cells, the parameter or convergence
+    error that failed it, or None)."""
     row_opts = dict(opts)
     row_opts[param] = value
     cells = {param: value}
     try:
-        state, params = _build_state(family, row_opts)
-        cells.update(params)
-        report = measure_report(state, params, include=names, quad=quad)
-        cells.update(_report_cells(report, columns))
-        cells["error"] = ""
-        return cells, None
-    except _PARAM_ERRORS as exc:
+        _measure_cells(cells, family, row_opts, names, quad)
+    except (InvalidParams, QuadratureNotConverged) as exc:
         cells["error"] = str(exc)
-        return cells, "params"
-    except QuadratureNotConverged as exc:
-        cells["error"] = str(exc)
-        return cells, "convergence"
+        return cells, exc
+    cells["error"] = ""
+    return cells, None
 
 
 def cmd_sweep(args) -> int:
@@ -302,8 +320,7 @@ def cmd_sweep(args) -> int:
     meta_cols = _WLN_COLUMNS if "wln" in names else []
     opts = vars(args)
 
-    results = [_sweep_row(family, opts, args.param, v, names, quad, columns)
-               for v in values]
+    results = [_sweep_row(family, opts, args.param, v, names, quad) for v in values]
 
     # swept value first, then remaining resolved params, then measures
     param_cols = sorted({k for cells, _ in results for k in cells} -
@@ -316,14 +333,10 @@ def cmd_sweep(args) -> int:
         for cells, _ in results:
             writer.writerow([_fmt(cells.get(c)) for c in header[:-1]]
                             + [cells.get("error", "")])
-    failures = [kind for _, kind in results if kind]
+    codes = [_exit_code(exc) for _, exc in results if exc]
     print(f"wrote {len(results)} rows to {out_path}"
-          + (f" ({len(failures)} failed)" if failures else ""))
-    if "params" in failures:
-        return EXIT_INVALID_PARAMS
-    if "convergence" in failures:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+          + (f" ({len(codes)} failed)" if codes else ""))
+    return min(codes, default=EXIT_OK)  # a parameter error outranks the rest
 
 
 def _parse_values(param: str, raw: str):
@@ -404,10 +417,13 @@ def _add_state_flags(p: argparse.ArgumentParser):
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
-    p.add_argument("--quad-nodes", type=int, default=512,
-                   help="radial Gauss-Legendre nodes for the negativity integral")
-    p.add_argument("--quad-angular-nodes", type=int, default=256,
-                   help="uniform angular nodes for the negativity integral")
+    p.add_argument("--quad-nodes", type=_int_at_most(_MAX_QUAD_NODES), default=512,
+                   help="radial Gauss-Legendre nodes for the negativity integral "
+                        f"(at most {_MAX_QUAD_NODES})")
+    p.add_argument("--quad-angular-nodes", type=_int_at_most(_MAX_QUAD_ANGULAR_NODES),
+                   default=256,
+                   help="uniform angular nodes for the negativity integral "
+                        f"(at most {_MAX_QUAD_ANGULAR_NODES})")
     p.add_argument("--quad-cutoff", type=_finite_float, default=None,
                    help="override the phase-space half-width")
     p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
@@ -451,8 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--xmax", type=_finite_float, default=4.0)
     p_wig.add_argument("--pmin", type=_finite_float, default=-4.0)
     p_wig.add_argument("--pmax", type=_finite_float, default=4.0)
-    p_wig.add_argument("--nx", type=int, default=101)
-    p_wig.add_argument("--np", type=int, default=101)
+    grid_nodes = _int_at_most(_MAX_GRID_NODES)
+    p_wig.add_argument("--nx", type=grid_nodes, default=101,
+                       help=f"x nodes (at most {_MAX_GRID_NODES})")
+    p_wig.add_argument("--np", type=grid_nodes, default=101,
+                       help=f"p nodes (at most {_MAX_GRID_NODES})")
     p_wig.add_argument("--out", required=True, help="output CSV path")
     p_wig.set_defaults(func=cmd_wigner)
 
@@ -471,15 +490,9 @@ def main(argv=None) -> int:
         # with exit 3; numpy's warnings would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except _PARAM_ERRORS as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except QuadratureNotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -54,11 +54,10 @@ def anticlassicality(state: FockState, include_vacuum: bool = False) -> float:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Named scalar results for one state, with the parameters that
-    produced them. Optional entries stay None when not requested;
-    wln_detail carries the quadrature diagnostics of the wln value."""
+    """Named scalar results for one state. Entries stay None when not
+    requested; wln_detail carries the quadrature diagnostics of the wln
+    value."""
 
-    params: dict
     mu: float | None = None
     anticlassicality: float | None = None
     anticlassicality_with_vacuum: float | None = None
@@ -73,7 +72,6 @@ ALL_MEASURES = ("anticlassicality", "concurrence", "mean_n", "mu", "wln")
 
 def measure_report(
     state: FockState,
-    params: dict,
     include=ALL_MEASURES,
     quad=None,
 ) -> MeasureReport:
@@ -87,7 +85,7 @@ def measure_report(
     unknown = include - set(ALL_MEASURES)
     if unknown:
         raise ValueError(f"unknown measures: {sorted(unknown)}")
-    fields: dict = {"params": dict(params)}
+    fields: dict = {}
     if "mu" in include:
         fields["mu"] = sps_quality_mu(state)
     if "anticlassicality" in include:

@@ -126,12 +126,17 @@ def _pair_weights(amps: np.ndarray, lo: int = 0, hi: int | None = None):
     space for the offsets lo <= a < hi, where hi is at most (and by
     default) d.
 
+    Real amplitudes (every state family) give real weights, so the Laguerre
+    sums run in real arithmetic.
+
     Offset-major and zero-padded: row a - lo holds the d - a weights of
     offset a and zeros past them, in d - lo columns, so rows shrink as a
     grows (the layout _laguerre_sums steps through). They are assembled
     _OFFSET_BLOCK rows at a time, which bounds the temporaries to that many
     rows at any d.
     """
+    if not np.count_nonzero(amps.imag):  # a few times cheaper than np.any
+        amps = amps.real
     d = len(amps)
     hi = d if hi is None else min(hi, d)
     w = np.zeros((hi - lo, d - lo), dtype=amps.dtype)
@@ -556,8 +561,7 @@ def wigner_log_negativity_detailed(
     quad = quad if quad is not None else QuadratureSpec()
     amps = state.amplitudes
     edges = _radial_panel_edges(amps, quad.radius(state))
-    # real amplitudes (every state family) give real weights and modes
-    weights = _pair_weights(amps if np.any(amps.imag) else amps.real)
+    weights = _pair_weights(amps)
     nodes, angular = quad.nodes, quad.angular_nodes
     value = math.log(_phase_space_integrals(weights, edges, nodes, angular)[0])
     for _ in range(_WLN_MAX_DOUBLINGS):

@@ -10,9 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfock import fock, wigner_grid
+from hyperfock import errors, fock, wigner_grid
 from hyperfock import cli
 from hyperfock.cli import FAMILIES, main
+from hyperfock.errors import (
+    IndexOutOfRange,
+    InvalidParams,
+    NegativeCoefficient,
+    QuadratureNotConverged,
+    TruncationTooSmall,
+    ZeroState,
+)
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +286,23 @@ def test_sweep_flags_unconverged_rows(capsys, tmp_path):
     assert row["wln"] == ""
 
 
+@pytest.mark.parametrize("values", ["1,-1", "-1,1"])
+def test_sweep_parameter_error_outranks_unconverged_row(capsys, tmp_path, values):
+    out_path = tmp_path / "mixed.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "pahs", "--M", "4", "--eta", "0.3",
+        "--param", "k", f"--values={values}",
+        "--measures", "wln", "--wln-tolerance", "1e-13",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert out.endswith("(2 failed)\n")
+    errors_by_k = {r["k"]: r["error"] for r in csv.DictReader(out_path.open())}
+    assert "nonnegative integer" in errors_by_k["-1"]
+    assert "log-negativity" in errors_by_k["1"]
+
+
 def test_sweep_requires_a_measure(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
@@ -291,6 +316,39 @@ def test_invalid_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "measures", "pahs", "--M", "5", "--eta", "1.5")
     assert code == 2
     assert "eta" in err
+
+
+def test_every_parameter_error_is_invalid_params():
+    for cls in (InvalidParams, ZeroState, NegativeCoefficient,
+                TruncationTooSmall, IndexOutOfRange):
+        assert issubclass(cls, InvalidParams) and issubclass(cls, ValueError)
+    assert issubclass(IndexOutOfRange, IndexError)
+
+
+# the documented exit code of every failure a command may raise
+_EXIT_CODES = {
+    InvalidParams: 2,
+    ZeroState: 2,
+    NegativeCoefficient: 2,
+    TruncationTooSmall: 2,
+    IndexOutOfRange: 2,
+    QuadratureNotConverged: 3,
+    OSError: 4,
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type)] + [OSError],
+    ids=lambda c: c.__name__,
+)
+def test_each_failure_gives_its_exit_code(capsys, monkeypatch, cls):
+    def fail(*args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_build_state", fail)
+    code, out, err = run_cli(capsys, "state", "fock", "--n", "1")
+    assert (code, out, err) == (_EXIT_CODES[cls], "", "error: boom\n")
 
 
 def test_main_calls_in_a_row_share_no_flags(capsys):
@@ -361,6 +419,12 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures pahs --M 1000 --eta 0.3 --k 1 --measures mu", "1001 Fock levels"),
         ("measures fock --n 1001 --measures mu", "1001 Fock levels"),
         ("measures coherent --alpha 300", "truncation"),
+        # node counts above their caps, checked before any array is sized
+        ("wigner fock --n 1 --nx 1002 --np 5 --out {tmp}/g.csv", "at most 1001"),
+        ("wigner fock --n 1 --nx 5 --np 1002 --out {tmp}/g.csv", "at most 1001"),
+        ("measures fock --n 1 --measures wln --quad-nodes 4097", "at most 4096"),
+        ("measures fock --n 1 --measures wln --quad-angular-nodes 2049",
+         "at most 2048"),
     ],
 )
 def test_bad_flag_values_exit_2(capsys, tmp_path, argv, reason):
@@ -372,6 +436,30 @@ def test_bad_flag_values_exit_2(capsys, tmp_path, argv, reason):
     err = capsys.readouterr().err
     assert "error:" in err and reason in err
     assert not any(tmp_path.iterdir())
+
+
+class _StopAfterValidation(Exception):
+    pass
+
+
+def test_node_counts_at_their_caps_pass_validation(tmp_path, monkeypatch):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs)
+        raise _StopAfterValidation
+
+    monkeypatch.setattr(cli, "wigner_grid", record)
+    monkeypatch.setattr(cli, "measure_report", record)
+    with pytest.raises(_StopAfterValidation):
+        main(["wigner", "fock", "--n", "1", "--nx", "1001", "--np", "1001",
+              "--out", str(tmp_path / "g.csv")])
+    with pytest.raises(_StopAfterValidation):
+        main(["measures", "fock", "--n", "1", "--measures", "wln",
+              "--quad-nodes", "4096", "--quad-angular-nodes", "2048"])
+    grid, measures = seen
+    assert grid["nx"] == grid["n_p"] == 1001
+    assert (measures["quad"].nodes, measures["quad"].angular_nodes) == (4096, 2048)
 
 
 _FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200")

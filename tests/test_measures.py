@@ -91,7 +91,7 @@ def test_anticlassicality_vacuum_dominated():
 
 def test_measure_report_fields():
     s = fock(1, 2)
-    r = measure_report(s, {"n": 1}, include=("mu", "anticlassicality", "mean_n"))
+    r = measure_report(s, include=("mu", "anticlassicality", "mean_n"))
     assert isinstance(r, MeasureReport)
     assert r.mu == math.inf
     assert r.anticlassicality == 1.0
@@ -102,7 +102,7 @@ def test_measure_report_fields():
 
 def test_measure_report_full():
     s = pahs(HypergeometricParams(40.0, 4, 0.3, 1))
-    r = measure_report(s, {"M": 4})
+    r = measure_report(s)
     assert 0.0 <= r.anticlassicality <= r.anticlassicality_with_vacuum <= 1.0
     assert r.mean_n >= 0.0
     assert r.concurrence > 0.0
@@ -113,4 +113,4 @@ def test_measure_report_full():
 
 def test_measure_report_rejects_unknown():
     with pytest.raises(ValueError):
-        measure_report(fock(0, 1), {}, include=("mu", "sparkle"))
+        measure_report(fock(0, 1), include=("mu", "sparkle"))
