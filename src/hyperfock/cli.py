@@ -61,7 +61,8 @@ _INT_PARAMS = {"M", "k", "n", "dim"}
 _MAX_DIM = 1001
 # node counts of at most these sizes, 8 or more times their defaults: a grid
 # holds a few arrays of nx * np values, and the last WLN pass, at four times
-# both quadrature counts, a matrix of radial x half-angular nodes
+# both quadrature counts, reduces 4096 radii x half the angular nodes at a
+# time (a WLN at the caps peaked at 186 MB)
 _MAX_GRID_NODES = 1001
 _MAX_QUAD_NODES = 4096
 _MAX_QUAD_ANGULAR_NODES = 2048

@@ -6,15 +6,19 @@ kernels; the oracle integrates the defining transform of the position
 wavefunction numerically. They share no code beyond the state itself, so
 their pointwise agreement is a meaningful correctness check.
 
-One kernel, _laguerre_sums, evaluates every Laguerre sum of the closed form.
-Its single upward recurrence in n yields sum_n w[a, n] L_n^a(z) for a block
-of Fock offsets a at once, from the offset-major pair weights of
-_pair_weights. It gives grid and point values, the radial profile that
-places the panel edges, and the radial modes g_a of the separable polar form
-W(r, t) = exp(-r^2)/pi * Re sum_a g_a(r) e^{-iat} that the log-negativity
-quadrature uses. There the angle enters through real products with cos(at)
-and sin(at) on half the circle, since W at t and -t share them; for the
-real amplitudes of every state family the sin part vanishes.
+One kernel, _laguerre_sums, evaluates every Laguerre sum of the closed form
+on the normalised Laguerre functions
+L~_n^a(z) = sqrt(n!/(n+a)!) e^{-z/2} z^{a/2} L_n^a(z), |L~| <= 1 (Gil,
+Segura & Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 4),
+which stay finite at every Fock level. One upward recurrence in n yields
+sum_n w[a, n] L~_n^a(z) for a block of Fock offsets a at once. With
+z = 2 r^2 these carry the whole envelope of W, so one evaluator,
+_radial_modes, gives the radial modes g_a of W(r, t) = Re sum_a g_a(r)
+e^{-iat} on any set of radii. Grids and points take a Horner sum in e^{-it}
+per point; the log-negativity quadrature takes real products with cos(at)
+and sin(at) on half the circle, since W at t and -t share them (for the
+real amplitudes of every state family the sin part vanishes). The a = 0
+mode alone is the radial profile that places the quadrature's panel edges.
 
 Units are dimensionless oscillator quadratures (hbar = 1), in which the
 vacuum Wigner function peaks at 1/pi.
@@ -28,7 +32,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParams, QuadratureNotConverged
 from .fockspace import FockState, mean_photon_number
@@ -66,9 +69,12 @@ _ORACLE_FAIL = 1e-7
 # log-negativity refinement: node doublings allowed before giving up
 _WLN_MAX_DOUBLINGS = 2
 
-# Fock offsets and radial nodes per Laguerre recurrence of the polar modes:
-# its buffers then hold at most 16 x 4096 values (512 kB) each at any d,
-# and a state of up to 16 levels takes all its offsets in one recurrence
+# Fock offsets and radial nodes per Laguerre recurrence of the radial modes.
+# A block of up to half _NODE_BLOCK nodes (a WLN pass at the default node
+# counts, a point) takes _OFFSET_BLOCK offsets per recurrence, so that a state
+# of up to 16 levels needs one; a larger block (a grid) takes one offset at
+# a time, whose 1-d buffers stay in cache and run about twice as fast per
+# value. Either way the buffers hold at most 16 x 4096 values (512 kB) each.
 _OFFSET_BLOCK = 16
 _NODE_BLOCK = 4096
 
@@ -120,153 +126,197 @@ class QuadratureSpec:
         return float(self.cutoff)
 
 
-def _pair_weights(amps: np.ndarray, lo: int = 0, hi: int | None = None):
+def _pair_weights(amps: np.ndarray) -> np.ndarray:
     """Weights of the Fock-index pairs (n, n + a) in the Wigner double sum,
-    w_n = conj(c_n) c_{n+a} (-1)^(n+a) sqrt(2^a n!/(n+a)!), assembled in log
-    space for the offsets lo <= a < hi, where hi is at most (and by
-    default) d.
+    w[a, n] = (2 - delta_a0)/pi conj(c_n) c_{n+a} (-1)^n, zero where
+    n + a >= d.
 
-    Real amplitudes (every state family) give real weights, so the Laguerre
-    sums run in real arithmetic.
-
-    Offset-major and zero-padded: row a - lo holds the d - a weights of
-    offset a and zeros past them, in d - lo columns, so rows shrink as a
-    grows (the layout _laguerre_sums steps through). They are assembled
-    _OFFSET_BLOCK rows at a time, which bounds the temporaries to that many
-    rows at any d.
+    The kernel is Hermitian under index swap, so each off-diagonal pair
+    carries twice the real part of one term: the factor 2 and the 1/pi of W
+    are folded in here. Real amplitudes (every state family) give real
+    weights, so the Laguerre sums run in real arithmetic.
     """
     if not np.count_nonzero(amps.imag):  # a few times cheaper than np.any
         amps = amps.real
     d = len(amps)
-    hi = d if hi is None else min(hi, d)
-    w = np.zeros((hi - lo, d - lo), dtype=amps.dtype)
-    log_fact = gammaln(np.arange(d) + 1.0)
-    for a0 in range(lo, hi, _OFFSET_BLOCK):
-        rows, cols = min(_OFFSET_BLOCK, hi - a0), d - a0
-        # flat index arrays: numpy takes complex products of 1-d arrays
-        # through one loop whatever their length, so each weight comes out
-        # bit for bit as a row at a time gives it (2-d operands with a unit
-        # axis may not)
-        a, n = np.divmod(np.arange(rows * cols), cols)
-        a += a0
-        partner = np.minimum(n + a, d - 1)  # clamped on the padding
-        log_coeff = 0.5 * (a * _LN2 + log_fact[n] - log_fact[partner])
-        signs = 1.0 - 2.0 * ((n + a) % 2)
-        block = np.conj(amps[n]) * amps[partner] * signs * np.exp(log_coeff)
-        block[n + a >= d] = 0.0
-        w[a0 - lo : a0 - lo + rows, :cols] = block.reshape(rows, cols)
+    signed = np.conj(amps) * ((1.0 - 2.0 * (np.arange(d) % 2)) / math.pi)
+    padded = np.concatenate([amps, np.zeros(d, dtype=amps.dtype)])
+    # flat operands: numpy takes complex products of 1-d arrays through one
+    # loop whatever their length, so each weight comes out bit for bit as a
+    # row at a time gives it (2-d operands may not)
+    a, n = np.divmod(np.arange(d * d), d)
+    w = (padded[n + a] * signed[n]).reshape(d, d)
+    w[1:] *= 2.0
     return w
 
 
-def _laguerre_sums(w: np.ndarray, a: int, z: np.ndarray) -> np.ndarray:
-    """Row i: sum_n w[i, n] L_n^{a+i}(z) over a 1-d array z, for the block
-    of consecutive Fock offsets a, a + 1, ... that the rows of w hold.
+def _start(z: np.ndarray):
+    """e^{-z/2} = L~_0^0(z) as (values, shift): the values are scaled up by
+    2^shift where e^{-z/2} would fall below 2^-1000, and shift is None when
+    no value needs it."""
+    half = 0.5 * z
+    if not half.max(initial=0.0) > 1000.0 * _LN2:
+        return np.exp(-half), None
+    shift = np.maximum(np.ceil(half / _LN2) - 1000.0, 0.0).astype(np.int64)
+    return np.exp(shift * _LN2 - half), shift
 
-    One three-term upward recurrence in n serves the whole block. The rows
-    shrink as in _pair_weights: row i ends at column N - i (N = w.shape[1]),
-    so step n updates the first N - n rows only. Every element goes through
-    the operations of the one-offset step
-    L_n = ((2n - 1 + a - z) L_{n-1} - (n - 1 + a) L_{n-2}) / n, in that
-    order, in place in rotating buffers.
+
+def _rescale(shift: np.ndarray, lead: np.ndarray, *rest: np.ndarray) -> None:
+    """Bring values scaled up by 2^shift back towards 1, in place: divide
+    lead and rest by 2^k and lower shift by k, where k is the binary
+    exponent of lead clipped to [0, shift]. Powers of two keep it exact."""
+    k = np.clip(np.frexp(lead)[1], 0, shift)
+    factor = np.ldexp(1.0, -k)
+    for values in (lead,) + rest:
+        values *= factor
+    shift -= k
+
+
+@lru_cache(maxsize=256)
+def _recurrence_coefficients(a: int, rows: int, cols: int):
+    """Per step n (axis 0) and offset a + i (axis 1 when rows > 1): the
+    coefficients 2n - 1 + a, sqrt((n - 1)(n - 1 + a)) and 1/sqrt(n (n + a))
+    of the normalised Laguerre recurrence (a product costs a third of a
+    quotient)."""
+    col = (rows, 1) if rows > 1 else ()
+    n = np.arange(cols, dtype=float).reshape((cols,) + len(col) * (1,))
+    offsets = (a + np.arange(rows, dtype=float)).reshape(col)
+    coefficients = np.stack([
+        2.0 * n - 1.0 + offsets,
+        np.sqrt(np.maximum(n - 1.0, 0.0) * (n - 1.0 + offsets)),
+        1.0 / np.sqrt(np.maximum(n * (n + offsets), 1.0)),
+    ])
+    coefficients.setflags(write=False)
+    return coefficients
+
+
+def _laguerre_sums(w: np.ndarray, a: int, z: np.ndarray, start, shift) -> np.ndarray:
+    """Row i: sum_n w[i, n] L~_n^{a+i}(z) over a 1-d array z, for the block
+    of consecutive Fock offsets a, a + 1, ... that the rows of w hold, from
+    their start values L~_0^{a+i}(z) scaled up by 2^shift (see _start).
+
+    One three-term upward recurrence in n serves the whole block. Row i ends
+    at column N - i (N = w.shape[1]), so step n updates the first N - n rows
+    only. Each step is L~_n = ((2n - 1 + a - z) L~_{n-1}
+    - sqrt((n - 1)(n - 1 + a)) L~_{n-2}) * (1/sqrt(n (n + a))), in that
+    order, in place in rotating buffers. Where a scale is carried, every eighth
+    step moves it out of the values (_rescale), which keeps them finite.
     """
     rows, cols = w.shape
     # one offset runs on 1-d buffers and 0-d coefficients: numpy's loops
     # over operands of one shape cost half its broadcasting ones on few z
     col = (rows, 1) if rows > 1 else ()
     shape = col[:1] + z.shape
-    sums = w[:, 0].reshape(col) * np.ones(shape, dtype=np.result_type(w, z))
-    # the exact integer coefficients 2n - 1 + a and n - 1 + a, per step n
-    level = np.arange(cols, dtype=float).reshape((cols,) + len(col) * (1,))
-    offsets = (a + np.arange(rows, dtype=float)).reshape(col)
-    rise, fall = 2.0 * level - 1.0 + offsets, level - 1.0 + offsets
+    rise, fall, scale_at = _recurrence_coefficients(a, rows, cols)
     w_at = w.T.reshape((cols,) + col)
+    l_prev, l_curr = np.zeros(shape), start.reshape(shape)
+    sums = w_at[0] * l_curr
     acc, s = sums, np.empty(shape)
     term = np.empty_like(sums) if np.iscomplexobj(sums) else s  # s is free by then
-    l_prev, l_curr = np.zeros(shape), np.ones(shape)  # L_{-1}^a = 0, L_0^a = 1
+    scale = sc = None if shift is None else np.broadcast_to(shift, shape).copy()
     live = rows
     for n in range(1, cols):
         k = cols - n
         if k < live:  # offset a + k has no pair at level n
             live = k
             acc, s, term, l_prev, l_curr = acc[:k], s[:k], term[:k], l_prev[:k], l_curr[:k]
-            rise, fall, w_at = rise[:, :k], fall[:, :k], w_at[:, :k]
+            rise, fall, scale_at, w_at = rise[:, :k], fall[:, :k], scale_at[:, :k], w_at[:, :k]
+            sc = None if sc is None else sc[:k]
         np.subtract(rise[n], z, out=s)
         s *= l_curr
         l_prev *= fall[n]
         np.subtract(s, l_prev, out=l_prev)
-        l_prev /= n
+        l_prev *= scale_at[n]
         l_prev, l_curr = l_curr, l_prev
         np.multiply(w_at[n], l_curr, out=term)
         acc += term
+        if sc is not None and n % 8 == 0:
+            _rescale(sc, l_curr, l_prev, acc)
+    if scale is not None:
+        sums *= np.ldexp(1.0, -scale)
     return sums.reshape(rows, len(z))
+
+
+def _radial_modes(weights: np.ndarray, z: np.ndarray):
+    """The one evaluator of the closed form: with these _pair_weights,
+    W(r, t) = Re sum_a g_a(r) e^{-iat}, g_a = sum_n w[a, n] L~_n^a(2 r^2).
+
+    Yields (lo, g) for each block of up to _NODE_BLOCK values z = 2 r^2
+    from z[lo] on, g[a] the mode g_a there. The start values
+    L~_0^a = L~_0^{a-1} sqrt(z/a) are running products over the offsets.
+    Offset blocks whose weights are all zero (all but the first of a Fock
+    state) run no recurrence.
+    """
+    d = len(weights)
+    inv_root = 1.0 / np.sqrt(np.arange(1.0, d + 1.0))
+    for lo in range(0, len(z), _NODE_BLOCK):
+        zb = z[lo : lo + _NODE_BLOCK]
+        start, shift = _start(zb)
+        root = np.sqrt(zb)
+        g = np.empty((d, len(zb)), dtype=weights.dtype)
+        block = _OFFSET_BLOCK if 2 * len(zb) <= _NODE_BLOCK else 1
+        for a0 in range(0, d, block):
+            rows = min(block, d - a0)
+            starts = np.empty((rows + 1, len(zb)))
+            starts[0] = start
+            np.multiply.outer(inv_root[a0 : a0 + rows], root, out=starts[1:])
+            if len(zb) > 64:  # multiply.accumulate loops once per node
+                for i in range(rows):
+                    starts[i + 1] *= starts[i]
+            else:
+                np.multiply.accumulate(starts, axis=0, out=starts)
+            start = starts[rows]
+            w = weights[a0 : a0 + rows, : d - a0]
+            if np.count_nonzero(w):
+                g[a0 : a0 + rows] = _laguerre_sums(w, a0, zb, starts[:rows], shift)
+            else:
+                g[a0 : a0 + rows] = 0.0
+            if shift is not None:
+                _rescale(shift, start)
+        yield lo, g
+
+
+def _horner(g: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Re sum_a g[a, idx] u^a by Horner's rule."""
+    total, product = np.zeros(len(u), dtype=complex), np.empty(len(u), dtype=complex)
+    real = not np.iscomplexobj(g)
+    for mode in g[::-1]:
+        # never in place: numpy rounds a lone in-place complex product
+        # differently from the same product in a longer array
+        total, product = np.multiply(total, u, out=product), total
+        part = total.real if real else total
+        part += mode[idx]
+    return total.real
 
 
 def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     """W(x, p) for an amplitude vector, broadcasting over arrays x and p.
 
-    The double Fock sum is folded onto ordered pairs n <= n' = n + a: the
-    kernel is Hermitian under index swap, so each off-diagonal pair
-    contributes twice the real part of one term, carrying (ip - x)^a.
-    A point takes _OFFSET_BLOCK offsets per recurrence. Array input takes
-    one offset per recurrence, which holds its buffers to the size of z,
-    and each Laguerre sum once per distinct z = 2 r^2, scattered back. All
-    of these give the same values bit for bit.
+    The radial modes are evaluated once per distinct z = 2 r^2, and each
+    point takes one Horner sum W = Re sum_a g_a(r) u^a in
+    u = (x - ip)/r = e^{-it}; any finite u serves at the origin, where every
+    g_{a>0} vanishes. A point is the case of one radius, so a grid value
+    equals the point value at its node bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     r2 = x * x + p * p
-    z = 2.0 * r2
-    if z.ndim:
-        zu, inv = np.unique(z, return_inverse=True)
-        inv = inv.reshape(z.shape)  # its shape differs across numpy 2.x releases
-        rows = 1
-    else:  # np.unique would triple the cost of a point
-        zu, inv, rows = z[None], 0, _OFFSET_BLOCK
-    out = np.zeros(z.shape)
-    zstep = 1j * p - x
-    zpow = np.ones(z.shape, dtype=complex)
-    for a0 in range(0, len(amps), rows):
-        sums = _laguerre_sums(_pair_weights(amps, a0, a0 + rows), a0, zu)
-        for a, acc in enumerate(sums, a0):
-            acc = acc[inv]
-            out += acc.real if a == 0 else 2.0 * (acc * zpow).real
-            zpow = zpow * zstep
-    return out * (np.exp(-r2) / math.pi)
-
-
-def _wigner_polar(weights: np.ndarray, r: np.ndarray, theta: np.ndarray):
-    """W on polar nodes in mirror pairs: W(r_i, +-t_j) = C[i, j] +- S[i, j],
-    returned as (C, S), for the state with these _pair_weights.
-
-    With ip - x = -r e^{-it} the expansion separates,
-    W = Re sum_a g_a(r) e^{-iat}, where the radial modes g_a (the envelope
-    exp(-r^2)/pi included) need the radial nodes only. Each recurrence
-    covers up to _OFFSET_BLOCK offsets on up to _NODE_BLOCK nodes; the
-    factors (-r)^a exp(-r^2)/pi are running products over a, carried from
-    one block of offsets to the next. The angle enters through two real
-    matrix products, C = Re g . cos(at) and S = Im g . sin(at). Real
-    weights make every g_a real; then the Laguerre sums run in real
-    arithmetic and S is None.
-    """
-    d = len(weights)
-    modes = np.empty((len(r), d), dtype=weights.dtype)
-    for lo in range(0, len(r), _NODE_BLOCK):
-        rb = r[lo : lo + _NODE_BLOCK]
-        z = 2.0 * rb * rb
-        rpow = np.exp(-rb * rb) / math.pi  # (-r)^a0 exp(-r^2)/pi
-        for a0 in range(0, d, _OFFSET_BLOCK):
-            rows = min(_OFFSET_BLOCK, d - a0)
-            envelope = np.empty((rows + 1, len(rb)))
-            envelope[0], envelope[1:] = rpow, -rb
-            np.multiply.accumulate(envelope, axis=0, out=envelope)
-            rpow = envelope[rows]
-            envelope[int(a0 == 0) : rows] *= 2.0  # the folded pairs a > 0
-            block = _laguerre_sums(weights[a0 : a0 + rows, : d - a0], a0, z)
-            block *= envelope[:rows]
-            modes[lo : lo + len(rb), a0 : a0 + rows] = block.T
-    at = np.outer(np.arange(d), theta)
-    c = modes.real @ np.cos(at)
-    return c, (modes.imag @ np.sin(at) if np.iscomplexobj(modes) else None)
+    r = np.maximum(np.sqrt(r2), np.finfo(float).tiny)  # u = 0 at the origin
+    u = np.empty(r2.shape, dtype=complex)
+    np.divide(x, r, out=u.real)
+    np.divide(-p, r, out=u.imag)
+    # the points sorted by z, and the rank of each among the distinct z
+    order = np.argsort(r2, axis=None)
+    z = 2.0 * r2.ravel()[order]
+    new = np.empty(len(z), dtype=bool)
+    new[:1] = True
+    np.not_equal(z[1:], z[:-1], out=new[1:])
+    rank, z = np.cumsum(new) - 1, z[new]
+    u, out = u.ravel(), np.empty(len(order))
+    for lo, g in _radial_modes(_pair_weights(amps), z):
+        sel = slice(*np.searchsorted(rank, (lo, lo + g.shape[1])))
+        pts = order[sel]
+        out[pts] = _horner(g, rank[sel] - lo, u[pts])
+    return out.reshape(r2.shape)
 
 
 def wigner_point(state: FockState, x: float, p: float) -> float:
@@ -310,10 +360,6 @@ class WignerGrid:
         for x, row in zip(self.x_nodes.tolist(), self.values.tolist()):
             pre = "%.17g," % x
             yield "".join(pre + p + ",%.17g\n" for p in ps) % tuple(row)
-
-    def to_csv_text(self) -> str:
-        """The whole CSV text of csv_rows as one string."""
-        return "".join(self.csv_rows())
 
 
 def wigner_grid(
@@ -448,27 +494,34 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     angular-mean Wigner profile, each narrowed to a bracket of at most
     4 eps * radius.
 
-    Up to the positive factor exp(-r^2)/pi that profile is the a = 0 mode,
-    g(r) = sum_n p_n (-1)^n L_n(2 r^2): the off-diagonal modes integrate to
+    Up to the factor 1/pi that profile is the a = 0 mode,
+    g(r) = sum_n p_n (-1)^n L~_n(2 r^2): the off-diagonal modes integrate to
     zero around the circle. For radially symmetric states its zeros are
     exactly the kink circles of |W|, so panelized quadrature sees only
     smooth integrands; for other states they still track the near-circular
-    ring structure.
+    ring structure. A profile with a non-finite value on the probe is
+    rejected before any quadrature pass runs.
 
     Each sign change on a fine probe is a bracket, unless g lies below its
-    round-off floor at both ends: each of the d terms is at most
-    |w_n| e^{r^2} (as |L_n(z)| <= e^{z/2}), so sign changes within
-    d * eps * sum |w_n| * e^{r^2} of zero are noise, and |W| has no kink
-    there worth a panel. The brackets are narrowed together by regula falsi
-    with the Illinois step (Dowell & Jarratt, BIT 11, 168 (1971)): an end
-    kept twice in a row has its value halved, so both ends close in
-    superlinearly.
+    round-off floor at both ends: each of the d terms is at most |w_n| (as
+    |L~_n| <= 1), so sign changes within d * eps * sum |w_n| of zero are
+    noise, and |W| has no kink there worth a panel. The brackets are
+    narrowed together by regula falsi with the Illinois step (Dowell &
+    Jarratt, BIT 11, 168 (1971)): an end kept twice in a row has its value
+    halved, so both ends close in superlinearly.
     """
-    w = np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2))
+    w = (np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2)))[None]
+
+    def profile(r):
+        z = 2.0 * r * r
+        return _laguerre_sums(w, 0, z, *_start(z))[0]
+
     probe = np.linspace(0.0, radius, 4097)
-    g = _laguerre_sums(w[None], 0, 2.0 * probe * probe)[0]
-    floor = len(w) * np.finfo(float).eps * np.abs(w).sum()
-    loud = np.abs(g) * np.exp(-probe * probe) > floor
+    g = profile(probe)
+    if not np.isfinite(g).all():
+        raise QuadratureNotConverged("the mean Wigner profile is not finite")
+    floor = w.size * np.finfo(float).eps * np.abs(w).sum()
+    loud = np.abs(g) > floor
     idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (loud[:-1] | loud[1:]))
     lo, hi, glo, ghi = probe[idx], probe[idx + 1], g[idx], g[idx + 1]
     kept = np.zeros(len(idx))  # +1: the last step kept hi, -1: it kept lo
@@ -477,7 +530,7 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
         if np.all(hi - lo <= tol):
             break
         x = lo - glo * (hi - lo) / (ghi - glo)
-        gx = _laguerre_sums(w[None], 0, 2.0 * x * x)[0]
+        gx = profile(x)
         right = (gx < 0) == (glo < 0)  # the zero lies in [x, hi]
         zero = gx == 0.0  # collapses its bracket onto x, which then stays
         ghi = np.where(right & (kept > 0), 0.5 * ghi, ghi)
@@ -492,24 +545,36 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
 
 def _angular_integrals(weights: np.ndarray, r: np.ndarray, angular: int):
     """Per radius r_i, the integrals of |W| and W around the circle, by the
-    uniform midpoint rule with `angular` nodes.
+    uniform midpoint rule with `angular` nodes, for the state with these
+    _pair_weights.
 
     The nodes come in mirror pairs t and 2 pi - t, so W is evaluated on the
-    first ceil(angular / 2) of them only, as C +- S (see _wigner_polar). A
-    pair adds |C + S| + |C - S| = 2 max(|C|, |S|) to the integral of |W|
-    and 2 C to that of W. For odd counts the node at pi is its own mirror
-    and carries half weight.
+    first ceil(angular / 2) of them only, as W(r, +-t) = C +- S with
+    C = Re g . cos(at) and S = Im g . sin(at); for real weights g is real
+    and S vanishes. A pair adds |C + S| + |C - S| = 2 max(|C|, |S|) to the
+    integral of |W| and 2 C to that of W. For odd counts the node at pi is
+    its own mirror and carries half weight. Each block of radial modes is
+    reduced to these two vectors as it comes, so neither the modes nor C is
+    ever held for every radius at once.
     """
     half = -(-angular // 2)
-    c, s = _wigner_polar(weights, r, 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
+    at = np.outer(np.arange(len(weights)), 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
+    cos_at = np.cos(at)
+    sin_at = np.sin(at) if np.iscomplexobj(weights) else None
     pair_weights = np.full(half, 4.0 * math.pi / angular)
     if angular % 2:
         pair_weights[-1] *= 0.5
-    signed = c @ pair_weights
-    pair = np.abs(c, out=c)
-    if s is not None:
-        np.maximum(pair, np.abs(s, out=s), out=pair)
-    return pair @ pair_weights, signed
+    abs_sums, sums = np.empty(len(r)), np.empty(len(r))
+    c_buf = np.empty((min(len(r), _NODE_BLOCK), half))
+    for lo, g in _radial_modes(weights, 2.0 * r * r):
+        rows = slice(lo, lo + g.shape[1])
+        c = np.matmul(g.real.T, cos_at, out=c_buf[: g.shape[1]])
+        sums[rows] = c @ pair_weights
+        pair = np.abs(c, out=c)
+        if sin_at is not None:
+            np.maximum(pair, np.abs(g.imag.T @ sin_at), out=pair)
+        abs_sums[rows] = pair @ pair_weights
+    return abs_sums, sums
 
 
 def _phase_space_integrals(
@@ -554,8 +619,8 @@ def wigner_log_negativity_detailed(
     _WLN_MAX_DOUBLINGS times, until two successive values differ by at
     most quad.wln_tolerance. The reported value, node counts and
     refinement_delta are those of the last pass. A NaN or infinite value
-    never passes: it is rejected at once, since it comes from overflow that
-    finer nodes cannot repair. wigner_integral carries the signed integral
+    never passes: it is rejected at once, since finer nodes cannot repair
+    it. wigner_integral carries the signed integral
     of W on the same grid, a ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
@@ -565,7 +630,7 @@ def wigner_log_negativity_detailed(
     nodes, angular = quad.nodes, quad.angular_nodes
     value = math.log(_phase_space_integrals(weights, edges, nodes, angular)[0])
     for _ in range(_WLN_MAX_DOUBLINGS):
-        if not math.isfinite(value):  # overflow; more nodes cannot repair it
+        if not math.isfinite(value):
             raise QuadratureNotConverged(
                 f"log-negativity is {value} at {nodes} x {angular} nodes"
             )
@@ -587,7 +652,3 @@ def wigner_log_negativity_detailed(
         f"doubling {nodes // 2} x {angular // 2} nodes"
     )
 
-
-def wigner_log_negativity(state: FockState, quad: QuadratureSpec | None = None) -> float:
-    """Convenience wrapper returning only the converged value."""
-    return wigner_log_negativity_detailed(state, quad).value

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfock import errors, fock, wigner_grid
-from hyperfock import cli
+from hyperfock import cli, wigner
 from hyperfock.cli import FAMILIES, main
 from hyperfock.errors import (
     IndexOutOfRange,
@@ -205,21 +205,23 @@ def test_wigner_grid_command(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "p", "W"]
     assert len(rows) == 1 + 41 * 41
-    # the rows streamed to the file are the text to_csv_text builds
+    # the rows streamed to the file are the grid's CSV text
     grid = wigner_grid(fock(0, 1), nx=41, n_p=41)
-    assert out_path.read_bytes() == grid.to_csv_text().encode()
+    assert out_path.read_bytes() == "".join(grid.csv_rows()).encode()
 
 
-def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path):
-    # the unscaled Laguerre sums of |300> overflow far out in phase space;
-    # the run reports that by its exit code and error line alone, with no
-    # numpy warning on stderr
+def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path, monkeypatch):
+    # a kernel that yields NaN (as an overflow would): the run reports it by
+    # its exit code and error line alone, with no numpy warning on stderr
+    def kernel(w, a, z, start, shift):
+        return np.full((len(w), len(z)), np.inf) - np.inf
+
+    monkeypatch.setattr(wigner, "_laguerre_sums", kernel)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(
             capsys,
-            "wigner", "fock", "--n", "300", "--nx", "5", "--np", "5",
-            "--xmin", "-27", "--xmax", "27", "--pmin", "-27", "--pmax", "27",
+            "wigner", "fock", "--n", "3", "--nx", "5", "--np", "5",
             "--out", str(tmp_path / "g.csv"),
         )
     assert code == 3
@@ -227,6 +229,19 @@ def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "not finite" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # both ends of the supported range: W of |1000> out to |x|, |p| = 45,
+    # and the WLN of |300>
+    "wigner fock --n 1000 --nx 21 --np 21 --xmin -45 --xmax 45 --pmin -45 --pmax 45 "
+    "--out {tmp}/f.csv",
+    "measures fock --n 300 --measures wln",
+])
+def test_high_fock_states_run(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 0 and err == ""
+    assert all(math.isfinite(v) for v in json.loads(out).get("measures", {}).values())
 
 
 def test_largest_supported_state_runs(capsys):

@@ -17,7 +17,6 @@ from hyperfock import (
     pahs,
     pinned_L,
     wigner_grid,
-    wigner_log_negativity,
     wigner_log_negativity_detailed,
     wigner_oracle_point,
     wigner_point,
@@ -25,13 +24,14 @@ from hyperfock import (
 from hyperfock import wigner
 from hyperfock.wigner import (
     _angular_integrals,
+    _laguerre_sums,
     _leggauss_scaled,
     _oracle_integral,
     _pair_weights,
     _phase_space_integrals,
+    _radial_modes,
     _radial_panel_edges,
     _wigner_array,
-    _wigner_polar,
 )
 from conftest import random_state
 
@@ -122,7 +122,7 @@ def test_grid_values_read_only():
 def test_grid_csv_round_trip():
     s = fock(1, 2)
     g = wigner_grid(s, x_min=-1, x_max=1, p_min=-1, p_max=1, nx=3, n_p=3)
-    lines = g.to_csv_text().strip().split("\n")
+    lines = "".join(g.csv_rows()).strip().split("\n")
     assert lines[0] == "x,p,W"
     assert len(lines) == 1 + 9
     x, p, w = (float(tok) for tok in lines[5].split(","))  # row i=1, j=1
@@ -141,7 +141,7 @@ def test_grid_csv_text_is_cell_by_cell_17g():
     for i in range(5):
         for j in range(7):
             want.append(f"{xs[i]:.17g},{ps[j]:.17g},{g.values[i, j]:.17g}")
-    assert g.to_csv_text() == "\n".join(want) + "\n"
+    assert "".join(g.csv_rows()) == "\n".join(want) + "\n"
 
 
 def test_quadrature_spec_validation():
@@ -166,11 +166,11 @@ def test_quadrature_radius_tracks_support():
 
 
 def test_wln_vacuum_zero():
-    assert abs(wigner_log_negativity(fock(0, 1))) < 1e-6
+    assert abs(wigner_log_negativity_detailed(fock(0, 1)).value) < 1e-6
 
 
 def test_wln_coherent_zero():
-    assert abs(wigner_log_negativity(coherent_truncated(2.0, 40))) < 1e-4
+    assert abs(wigner_log_negativity_detailed(coherent_truncated(2.0, 40)).value) < 1e-4
 
 
 def test_wln_single_photon_analytic():
@@ -209,58 +209,47 @@ def test_wln_dual_path_single_photon():
 def test_wln_nonnegative_up_to_slack(rng):
     for _ in range(3):
         s = random_state(rng, int(rng.integers(1, 8)))
-        assert wigner_log_negativity(s) >= -1e-6
+        assert wigner_log_negativity_detailed(s).value >= -1e-6
 
 
 def test_wln_convergence_guard():
     s = pahs(HypergeometricParams(40.0, 4, 0.3, 1))
     with pytest.raises(QuadratureNotConverged):
-        wigner_log_negativity(s, QuadratureSpec(wln_tolerance=1e-12))
+        wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=1e-12))
 
 
-def test_wln_rejects_non_finite_result():
-    # the unscaled Laguerre sums overflow for |300>; the NaN integral that
-    # results must end as a convergence failure, never as a value
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureNotConverged):
-            wigner_log_negativity_detailed(
-                fock(300, 301), QuadratureSpec(nodes=64, angular_nodes=64)
-            )
+def _nan_blocks(monkeypatch):
+    """Make the kernel return NaN for blocks of several offsets, the radial
+    modes, while the one-offset edge profile stays finite."""
+
+    def kernel(w, a, z, start, shift):
+        sums = _laguerre_sums(w, a, z, start, shift)
+        return sums if len(w) == 1 else np.full_like(sums, np.nan)
+
+    monkeypatch.setattr(wigner, "_laguerre_sums", kernel)
+
+
+def test_wln_rejects_non_finite_result(monkeypatch):
+    # a NaN integral must end as a convergence failure, never as a value
+    _nan_blocks(monkeypatch)
+    with pytest.raises(QuadratureNotConverged, match="log-negativity is nan"):
+        wigner_log_negativity_detailed(fock(1, 2))
+
+
+def test_wln_rejects_non_finite_edge_profile_before_any_pass(monkeypatch):
+    passes = []
+    monkeypatch.setattr(
+        wigner, "_laguerre_sums", lambda w, a, z, start, shift: np.full((len(w), len(z)), np.nan)
+    )
+    monkeypatch.setattr(wigner, "_phase_space_integrals", lambda *args: passes.append(args))
+    with pytest.raises(QuadratureNotConverged, match="profile is not finite"):
+        wigner_log_negativity_detailed(fock(1, 2))
+    assert passes == []
 
 
 def _separable_form_states(rng):
     states = [random_state(rng, int(rng.integers(1, 21))) for _ in range(5)]
     return states + [pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1))]
-
-
-def _polar_weights(amps):
-    """The pair weights the log-negativity uses: real for real amplitudes."""
-    return _pair_weights(amps if np.any(amps.imag) else amps.real)
-
-
-def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
-    seen = []
-
-    def spy(weights, r, theta):
-        seen.append((r, theta))
-        return _wigner_polar(weights, r, theta)
-
-    monkeypatch.setattr(wigner, "_wigner_polar", spy)
-    for s in _separable_form_states(rng):
-        weights = _polar_weights(s.amplitudes)
-        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
-        _phase_space_integrals(weights, edges, 128, 64)
-        r, theta = seen.pop()
-        assert len(theta) == 32  # half of the 64 midpoint nodes
-        c, sn = _wigner_polar(weights, r, theta)
-        sn = 0.0 if sn is None else sn
-        for mirror in (1.0, -1.0):  # the nodes t and 2 pi - t
-            cart = _wigner_array(
-                s.amplitudes,
-                r[:, None] * np.cos(theta),
-                mirror * r[:, None] * np.sin(theta),
-            )
-            assert np.max(np.abs(c + mirror * sn - cart)) < 1e-13
 
 
 def _full_circle_sums(amps, r, angular):
@@ -272,20 +261,38 @@ def _full_circle_sums(amps, r, angular):
     return step * np.abs(values).sum(axis=1), step * values.sum(axis=1)
 
 
+def _assert_half_circle_sums(amps, r, angular):
+    abs_sums, sums = _angular_integrals(_pair_weights(amps), r, angular)
+    ref_abs, ref = _full_circle_sums(amps, r, angular)
+    assert np.all(np.abs(abs_sums - ref_abs) <= 1e-13 * ref_abs)
+    assert np.all(np.abs(sums - ref) <= 1e-13 * ref_abs)
+
+
+def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
+    seen = []
+
+    def spy(weights, r, angular):
+        seen.append((r, angular))
+        return _angular_integrals(weights, r, angular)
+
+    monkeypatch.setattr(wigner, "_angular_integrals", spy)
+    for s in _separable_form_states(rng):
+        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
+        _phase_space_integrals(_pair_weights(s.amplitudes), edges, 128, 64)
+        r, angular = seen.pop()
+        assert angular == 64
+        _assert_half_circle_sums(s.amplitudes, r, angular)
+
+
 def test_half_circle_sums_match_full_circle(rng):
     real = [pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1)),
             coherent_truncated(1.5, 16), normalize(rng.normal(size=9))]
     complex_ = [random_state(rng, d) for d in (3, 12)]
     for s in real + complex_:
-        amps = s.amplitudes
-        weights = _polar_weights(amps)
         r = np.linspace(0.0, QuadratureSpec().radius(s), 97)[1:]
-        assert (_wigner_polar(weights, r, np.zeros(1))[1] is None) == (s in real)
+        assert (_pair_weights(s.amplitudes).dtype == np.float64) == (s in real)
         for angular in (64, 33):
-            abs_sums, sums = _angular_integrals(weights, r, angular)
-            ref_abs, ref = _full_circle_sums(amps, r, angular)
-            assert np.all(np.abs(abs_sums - ref_abs) <= 1e-13 * ref_abs)
-            assert np.all(np.abs(sums - ref) <= 1e-13 * ref_abs)
+            _assert_half_circle_sums(s.amplitudes, r, angular)
 
 
 def _mean_profile(amps, r):
@@ -330,7 +337,7 @@ def test_panel_edges_match_bisection(rng):
 def test_panel_edge_step_onto_an_exact_zero_stops_its_bracket(monkeypatch):
     calls = []
 
-    def profile(w, a, z):  # one zero, at r = 1, and exactly 0.0 within 1e-6 of it
+    def profile(w, a, z, start, shift):  # one zero, at r = 1, exactly 0.0 within 1e-6 of it
         assert w.shape[0] == 1 and a == 0  # the a = 0 mode alone
         calls.append(len(z))
         r = np.sqrt(0.5 * z)
@@ -390,8 +397,8 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
 
 def test_wln_respects_explicit_cutoff():
     s = fock(1, 2)
-    wide = wigner_log_negativity(s, QuadratureSpec(cutoff=9.0))
-    auto = wigner_log_negativity(s)
+    wide = wigner_log_negativity_detailed(s, QuadratureSpec(cutoff=9.0)).value
+    auto = wigner_log_negativity_detailed(s).value
     assert abs(wide - auto) < 1e-6
 
 
@@ -431,62 +438,70 @@ def test_no_gauss_legendre_rule_built_at_run_time(monkeypatch):
     assert abs(wigner_oracle_point(s, 1.0, -0.5) - wigner_point(s, 1.0, -0.5)) < 1e-7
 
 
-# The per-offset recurrence the blocked kernel replaced, kept here as the
-# reference it must match bit for bit; it shares no code with the library.
+# A one-offset normalised Laguerre recurrence, kept here as the reference the
+# blocked kernel must match bit for bit; it shares no code with the library.
 
 
 def _one_offset_weights(amps):
-    d = len(amps)
-    log_fact = gammaln(np.arange(d) + 1.0)
-    for a in range(d):
-        n = np.arange(d - a)
-        log_coeff = 0.5 * (a * math.log(2.0) + log_fact[n] - log_fact[n + a])
-        signs = 1.0 - 2.0 * ((n + a) % 2)
-        yield a, np.conj(amps[: d - a]) * amps[a:] * signs * np.exp(log_coeff)
-
-
-def _one_offset_sum(w, a, z):
-    acc = w[0] * np.ones(z.shape, dtype=np.result_type(w, z))
-    l_prev, l_curr = 0.0, np.ones(z.shape)
-    for n in range(1, len(w)):
-        l_prev, l_curr = (
-            l_curr,
-            ((2.0 * n - 1.0 + a - z) * l_curr - (n - 1.0 + a) * l_prev) / n,
-        )
-        acc += w[n] * l_curr
-    return acc
-
-
-def _one_offset_cartesian(amps, x, p):
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r2 = x * x + p * p
-    z = 2.0 * r2
-    if z.ndim:
-        zu, inv = np.unique(z, return_inverse=True)
-        inv = inv.reshape(z.shape)
-    out = np.zeros(z.shape)
-    zstep = 1j * p - x
-    zpow = np.ones(z.shape, dtype=complex)
-    for a, w in _one_offset_weights(amps):
-        acc = _one_offset_sum(w, a, zu)[inv] if z.ndim else _one_offset_sum(w, a, z)
-        out += acc.real if a == 0 else 2.0 * (acc * zpow).real
-        zpow = zpow * zstep
-    return out * (np.exp(-r2) / math.pi)
-
-
-def _one_offset_polar(amps, r, theta):
     if not np.any(amps.imag):
         amps = amps.real
-    z = 2.0 * r * r
-    modes = np.empty((len(r), len(amps)), dtype=amps.dtype)
-    rpow = np.exp(-r * r) / math.pi
+    d = len(amps)
+    signed = np.conj(amps) * ((1.0 - 2.0 * (np.arange(d) % 2)) / math.pi)
+    for a in range(d):
+        yield a, amps[a:] * signed[: d - a] * (2.0 if a else 1.0)
+
+
+def _one_offset_modes(amps, z):
+    """g[a] = sum_n w[a, n] L~_n^a(z), each offset by its own recurrence
+    from L~_0^a = L~_0^{a-1} sqrt(z/a), L~_0^0 = exp(-z/2)."""
+    rows = []
+    start, root = np.exp(-0.5 * z), np.sqrt(z)
     for a, w in _one_offset_weights(amps):
-        modes[:, a] = _one_offset_sum(w, a, z) * (rpow if a == 0 else 2.0 * rpow)
-        rpow = rpow * -r
-    at = np.outer(np.arange(len(amps)), theta)
-    c = modes.real @ np.cos(at)
-    return c, (modes.imag @ np.sin(at) if np.iscomplexobj(modes) else None)
+        if a:
+            start = start * ((1.0 / np.sqrt(float(a))) * root)
+        l_prev, l_curr = 0.0, start
+        acc = w[0] * l_curr
+        for n in range(1, len(w)):
+            fall = math.sqrt((n - 1.0) * (n - 1.0 + a))
+            l_prev, l_curr = l_curr, (
+                ((2.0 * n - 1.0 + a - z) * l_curr - fall * l_prev) * (1.0 / math.sqrt(n * (n + a)))
+            )
+            acc = acc + w[n] * l_curr
+        rows.append(acc)
+    return np.array(rows)
+
+
+def _one_offset_wigner(amps, x, p):
+    """W = Re sum_a g_a u^a by Horner's rule, u = (x - ip)/r, point by point."""
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    r2 = (x * x + p * p).ravel()
+    r = np.sqrt(r2)
+    safe = np.where(r > 0.0, r, 1.0)
+    u = np.where(r > 0.0, x.ravel() / safe, 1.0) + 1j * np.where(r > 0.0, -p.ravel() / safe, 0.0)
+    total = np.zeros(len(r), dtype=complex)
+    for mode in _one_offset_modes(amps, 2.0 * r2)[::-1]:
+        total = total * u + mode
+    return total.real.reshape(x.shape)
+
+
+def _old_formula_modes(amps, r):
+    """The same modes by the unscaled recurrence of L_n^a(2 r^2) with the
+    envelope (2 - delta_a0)/pi (-r)^a e^{-r^2} sqrt(2^a n!/(n+a)!) outside."""
+    d = len(amps)
+    z = 2.0 * r * r
+    log_fact = gammaln(np.arange(d) + 1.0)
+    rows = []
+    for a in range(d):
+        n = np.arange(d - a)
+        coeff = np.exp(0.5 * (a * math.log(2.0) + log_fact[n] - log_fact[n + a]))
+        w = np.conj(amps[: d - a]) * amps[a:] * (-1.0) ** (n + a) * coeff
+        l_prev, l_curr = np.zeros_like(z), np.ones_like(z)
+        acc = w[0] * l_curr
+        for k in range(1, d - a):
+            l_prev, l_curr = l_curr, ((2 * k - 1 + a - z) * l_curr - (k - 1 + a) * l_prev) / k
+            acc = acc + w[k] * l_curr
+        rows.append(acc * (2.0 - (a == 0)) / math.pi * (-r) ** a * np.exp(-r * r))
+    return np.array(rows)
 
 
 def _kernel_states(rng):
@@ -496,29 +511,34 @@ def _kernel_states(rng):
     yield pahs(HypergeometricParams(pinned_L(10, 0.9, 2.0), 10, 0.9, 1))
 
 
-def _assert_same_polar(s, r):
-    theta = np.linspace(0.1, 3.0, 5)
-    c, sn = _wigner_polar(_polar_weights(s.amplitudes), r, theta)
-    ref_c, ref_s = _one_offset_polar(s.amplitudes, r, theta)
-    assert np.array_equal(c, ref_c)
-    assert (sn is None and ref_s is None) or np.array_equal(sn, ref_s)
+def _assert_same_modes(s, r):
+    z = 2.0 * r * r
+    blocks = list(_radial_modes(_pair_weights(s.amplitudes), z))
+    assert [lo for lo, _ in blocks] == list(range(0, len(z), wigner._NODE_BLOCK))
+    ref = _one_offset_modes(s.amplitudes, z)
+    assert np.array_equal(np.concatenate([g for _, g in blocks], axis=1), ref)
+    return ref
 
 
 def test_blocked_kernel_matches_one_offset_recurrence_bit_for_bit(rng, monkeypatch):
     # small blocks, so that node counts fall below, on and across a node
-    # block, and states of more than 5 levels span several offset blocks
+    # block, blocks of up to 4 nodes take 5 offsets per recurrence, and
+    # states of more than 5 levels span several offset blocks
     monkeypatch.setattr(wigner, "_NODE_BLOCK", 8)
     monkeypatch.setattr(wigner, "_OFFSET_BLOCK", 5)
     for s in _kernel_states(rng):
         amps = s.amplitudes
         radius = QuadratureSpec().radius(s)
-        for count in (7, 8, 9, 17) if s.dim < 201 else (17,):
-            _assert_same_polar(s, np.linspace(0.01, radius, count))
+        for count in (3, 7, 8, 9, 17) if s.dim < 201 else (3, 17):
+            r = np.linspace(0.01, radius, count)
+            ref = _assert_same_modes(s, r)
+            scale = np.max(np.abs(ref), initial=1.0)
+            assert np.max(np.abs(_old_formula_modes(amps, r) - ref)) <= 1e-13 * scale
         xs, ps = np.linspace(-3.0, 2.0, 5), np.linspace(-2.5, 2.5, 4)
         grid = wigner_grid(s, -3.0, 2.0, -2.5, 2.5, 5, 4)
-        assert np.array_equal(grid.values, _one_offset_cartesian(amps, xs[:, None], ps))
+        assert np.array_equal(grid.values, _one_offset_wigner(amps, xs[:, None], ps))
         for x, p in rng.uniform(-3.0, 3.0, size=(2 if s.dim < 201 else 1, 2)):
-            assert wigner_point(s, x, p) == _one_offset_cartesian(amps, x, p)
+            assert wigner_point(s, x, p) == _one_offset_wigner(amps, x, p)
 
 
 def test_blocked_kernel_matches_one_offset_recurrence_at_the_default_blocks(rng):
@@ -526,7 +546,95 @@ def test_blocked_kernel_matches_one_offset_recurrence_at_the_default_blocks(rng)
     for d in (1, 12):
         for s in (random_state(rng, d), normalize(rng.normal(size=d))):
             for count in (block - 1, block, block + 1):
-                _assert_same_polar(s, np.linspace(0.01, 6.0, count))
+                _assert_same_modes(s, np.linspace(0.01, 6.0, count))
     # more levels than one offset block holds
     for s in (random_state(rng, 42), normalize(rng.normal(size=42))):
-        _assert_same_polar(s, np.linspace(0.01, 10.0, 300))
+        _assert_same_modes(s, np.linspace(0.01, 10.0, 300))
+
+
+def test_kernel_start_value_at_the_origin_is_quiet():
+    # every L~_0^{a>0} vanishes at z = 0; no log of zero may warn there
+    s = normalize(np.ones(20))
+    g = np.concatenate([g for _, g in _radial_modes(_pair_weights(s.amplitudes), np.zeros(3))], 1)
+    assert np.all(g[1:] == 0.0) and np.all(g[0] == g[0, 0])
+    assert wigner_point(s, 0.0, 0.0) == g[0, 0]
+
+
+# The supported range ends at 1001 Fock levels. The references below share
+# no code with the kernel.
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_high_fock_wigner_matches_60_digit_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    s = fock(n, n + 1)
+    radius = QuadratureSpec().radius(s)
+    r = np.array([0.0, 0.3, 2.0, 0.5 * radius, 0.8 * radius,
+                  math.sqrt(2 * n + 1) - 0.5, radius - 1.0, radius])
+    with mpmath.workdps(60):
+        want = [float((-1) ** n / mpmath.pi * mpmath.exp(-mpmath.mpf(x) ** 2)
+                      * mpmath.laguerre(n, 0, 2 * mpmath.mpf(x) ** 2)) for x in r]
+    theta = 0.7  # a Fock state is radial
+    got = _wigner_array(s.amplitudes, r * math.cos(theta), r * math.sin(theta))
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha, dim", [(13.0, 271), (20.0, 550)])
+def test_large_coherent_wigner_is_the_displaced_vacuum(alpha, dim):
+    # dim is the CLI's automatic truncation (tail mass <= 1e-12)
+    s = coherent_truncated(alpha, dim)
+    peak = math.sqrt(2.0) * alpha
+    x, p = peak + np.array([-1.0, -0.3, 0.0, 0.4, 1.0]), np.array([-0.7, 0.0, 0.5])
+    got = _wigner_array(s.amplitudes, x[:, None], p[None, :])
+    want = np.exp(-((x[:, None] - peak) ** 2) - p[None, :] ** 2) / math.pi
+    assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def _scaled_laguerre(n, t):
+    """e^{-t/2} L_n(t) by the plain recurrence on a running log scale."""
+    log_scale, l_prev, l_curr = -0.5 * t, np.zeros_like(t), np.ones_like(t)
+    for k in range(1, n + 1):
+        l_prev, l_curr = l_curr, ((2 * k - 1 - t) * l_curr - (k - 1) * l_prev) / k
+        big = np.abs(l_curr) > 1e100
+        l_prev[big] *= 1e-100
+        l_curr[big] *= 1e-100
+        log_scale[big] += 100.0 * math.log(10.0)
+    return l_curr * np.exp(log_scale)
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_high_fock_panel_edges_find_every_zero(n):
+    # L_n has n simple zeros, all inside the disk: n disjoint brackets of a
+    # sign change are all of them
+    s = fock(n, n + 1)
+    radius = QuadratureSpec().radius(s)
+    edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
+    assert len(edges) == n
+    step = 1e-9 * radius
+    assert np.all(np.diff(edges) > 2.0 * step)
+    lo, hi = (_scaled_laguerre(n, 2.0 * (edges + d) ** 2) for d in (-step, step))
+    assert np.all(lo * hi < 0.0)
+
+
+def _fock_abs_integral(n):
+    """Integral of |W| for |n> in 1-D: (1/2) int_0^inf e^{-t/2} |L_n(t)| dt,
+    with panels between the zeros of L_n (scipy) and 64-node Gauss-Legendre
+    on 4 sub-panels each."""
+    from numpy.polynomial.legendre import leggauss
+    from scipy.special import roots_laguerre
+
+    with np.errstate(over="ignore"):  # in the quadrature weights, not the roots
+        roots = roots_laguerre(n)[0]
+    ends = np.concatenate([[0.0], roots, [2.0 * (math.sqrt(2 * n + 1) + 5.0) ** 2]])
+    ends = np.linspace(ends[:-1], ends[1:], 5).T  # 4 sub-panels per panel
+    x, w = leggauss(64)
+    lo, hi = ends[:, :-1].ravel()[:, None], ends[:, 1:].ravel()[:, None]
+    t = (0.5 * (hi - lo) * (x + 1.0) + lo).ravel()
+    wt = (0.5 * (hi - lo) * w).ravel()
+    return 0.5 * wt @ np.abs(_scaled_laguerre(n, t))
+
+
+def test_fock_300_wln_matches_one_dimensional_reference():
+    got = wigner_log_negativity_detailed(fock(300, 301))
+    assert abs(got.value - math.log(_fock_abs_integral(300))) <= 1e-9
+    assert abs(got.wigner_integral - 1.0) <= 1e-9
