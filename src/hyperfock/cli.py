@@ -177,7 +177,6 @@ def _auto_coherent_dim(alpha: float) -> int:
 
 def _quad_from_args(args) -> QuadratureSpec:
     return QuadratureSpec(
-        cutoff=args.quad_cutoff,
         nodes=args.quad_nodes,
         angular_nodes=args.quad_angular_nodes,
         wln_tolerance=args.wln_tolerance,
@@ -425,8 +424,6 @@ def _add_quad_flags(p: argparse.ArgumentParser):
                    default=256,
                    help="uniform angular nodes for the negativity integral "
                         f"(at most {_MAX_QUAD_ANGULAR_NODES})")
-    p.add_argument("--quad-cutoff", type=_finite_float, default=None,
-                   help="override the phase-space half-width")
     p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
                    help="allowed change of the log-negativity under node doubling")
 

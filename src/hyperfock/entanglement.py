@@ -63,19 +63,12 @@ def beamsplitter_with_vacuum(state: FockState) -> TwoModeState:
     return TwoModeState(out)
 
 
-def reduced_purity(t: TwoModeState, trace_out: str = "A") -> float:
-    """Tr(rho^2) of the single-mode state left after tracing out one mode.
-
-    For the balanced splitter both choices agree; the default traces out
-    the first (transmitted) mode.
-    """
+def reduced_purity(t: TwoModeState) -> float:
+    """Tr(rho^2) of the single-mode state left after tracing out the first
+    (transmitted) mode. For the balanced splitter tracing out either mode
+    gives the same value."""
     a = t.amplitudes
-    if trace_out == "A":
-        gram = a.conj().T @ a
-    elif trace_out == "B":
-        gram = a @ a.conj().T
-    else:
-        raise ValueError(f"trace_out must be 'A' or 'B', got {trace_out!r}")
+    gram = a.conj().T @ a
     return float(np.sum(np.abs(gram) ** 2))
 
 

@@ -45,11 +45,6 @@ class FockState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Photon number distribution p_n = |c_n|^2."""
-        return np.abs(self.amplitudes) ** 2
-
 
 def normalize(amplitudes) -> FockState:
     """Scale raw amplitudes to unit norm.
@@ -85,13 +80,12 @@ def add_photons(state: FockState, k: int) -> FockState:
 
 def photon_number_distribution(state: FockState) -> np.ndarray:
     """p_m = |c_m|^2 for m = 0..D-1."""
-    return state.probabilities
+    return np.abs(state.amplitudes) ** 2
 
 
 def mean_photon_number(state: FockState) -> float:
     """<n> = sum_m m p_m."""
-    p = state.probabilities
-    return float(np.dot(np.arange(state.dim), p))
+    return float(np.dot(np.arange(state.dim), photon_number_distribution(state)))
 
 
 def overlap(a: FockState, b: FockState) -> complex:

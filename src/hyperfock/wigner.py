@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParams, QuadratureNotConverged
-from .fockspace import FockState, mean_photon_number
+from .fockspace import FockState
 
 _LN2 = math.log(2.0)
 
@@ -81,16 +81,13 @@ _NODE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls phase-space truncation and quadrature resolution.
+    """Controls the resolution of the log-negativity quadrature. The disk
+    it covers is not a setting: its radius comes from the state alone
+    (_disk_radius).
 
-    cutoff -- radius R of the integration disk (and half-width of the
-      oracle's position window); None derives it from the highest occupied
-      Fock level n_top as sqrt(2 n_top + 1) + 5, beyond which the Gaussian
-      envelope makes the tail contribution negligible. An explicit cutoff
-      must still satisfy cutoff >= sqrt(2 <n>) + 5.
     nodes -- radial nodes: each radial panel gets a share proportional to
-      its width (at least 12), rounded up to whole sub-panels of the
-      composite order-16 Gauss-Legendre rule; angular_nodes -- uniform
+      its width, rounded up to whole sub-panels of the composite order-16
+      Gauss-Legendre rule, at least one sub-panel; angular_nodes -- uniform
       nodes around the circle. Results report these requested counts. The
       negativity integral is evaluated at this resolution and again with
       both counts doubled, up to _WLN_MAX_DOUBLINGS times, until two
@@ -100,7 +97,6 @@ class QuadratureSpec:
       doubling is rejected as unconverged.
     """
 
-    cutoff: float | None = None
     nodes: int = 512
     angular_nodes: int = 256
     wln_tolerance: float = 1e-4
@@ -113,17 +109,16 @@ class QuadratureSpec:
         if not self.wln_tolerance > 0.0:
             raise InvalidParams("wln_tolerance must be positive")
 
-    def radius(self, state: FockState) -> float:
-        if self.cutoff is None:
-            occupied = np.flatnonzero(state.amplitudes != 0)
-            n_top = int(occupied[-1]) if occupied.size else 0
-            return math.sqrt(2.0 * n_top + 1.0) + 5.0
-        floor = math.sqrt(2.0 * mean_photon_number(state)) + 5.0
-        if not self.cutoff >= floor - 1e-9:  # also rejects a NaN cutoff
-            raise InvalidParams(
-                f"cutoff {self.cutoff} below required sqrt(2<n>)+5 = {floor:.3f}"
-            )
-        return float(self.cutoff)
+
+def _disk_radius(state: FockState) -> float:
+    """Radius R = sqrt(2 n_top + 1) + 5 of the log-negativity's integration
+    disk and half-width of the oracle's position window, with n_top the
+    highest occupied Fock level: beyond it the Gaussian envelope makes the
+    tail contribution negligible. Levels padded with zeros do not widen it.
+    """
+    occupied = np.flatnonzero(state.amplitudes != 0)
+    n_top = int(occupied[-1]) if occupied.size else 0
+    return math.sqrt(2.0 * n_top + 1.0) + 5.0
 
 
 def _pair_weights(amps: np.ndarray) -> np.ndarray:
@@ -403,14 +398,6 @@ def _unit_composite_rule(panels: int):
     return nodes, weights
 
 
-def _leggauss_scaled(panels: int, lo: float, hi: float):
-    """Nodes and weights on [lo, hi] of the composite rule with `panels`
-    sub-panels: exact for polynomials of degree < 2 * _GL_ORDER."""
-    nodes, weights = _unit_composite_rule(panels)
-    width = hi - lo
-    return lo + width * nodes, width * weights
-
-
 def _position_wavefunction(amps: np.ndarray, u) -> np.ndarray:
     """psi(u) = sum_n c_n phi_n(u), with phi_n the normalized oscillator
     eigenfunctions generated by the stable normalized recurrence
@@ -439,7 +426,8 @@ def _oracle_integral(
     `nodes` rounded up to an even number of sub-panels of the composite
     rule. The rule on [0, y_cutoff] is mirrored onto [-y_cutoff, 0], so the
     nodes are exactly antisymmetric and psi(x - y) is psi(x + y) reversed."""
-    y, w = _leggauss_scaled(-(-nodes // (2 * _GL_ORDER)), 0.0, y_cutoff)
+    unit_y, unit_w = _unit_composite_rule(-(-nodes // (2 * _GL_ORDER)))
+    y, w = y_cutoff * unit_y, y_cutoff * unit_w
     y = np.concatenate([-y[::-1], y])
     w = np.concatenate([w[::-1], w])
     psi = _position_wavefunction(amps, x + y)
@@ -447,9 +435,7 @@ def _oracle_integral(
     return complex(np.dot(w, vals)) / math.pi
 
 
-def wigner_oracle_point(
-    state: FockState, x: float, p: float, quad: QuadratureSpec | None = None
-) -> float:
+def wigner_oracle_point(state: FockState, x: float, p: float) -> float:
     """W(x, p) by direct numerical integration of the position-space
     transform. Independent of the closed form; intended for validation at
     desk scale (dim up to a few tens).
@@ -459,8 +445,7 @@ def wigner_oracle_point(
     raised if they still differ by more than 1e-7 at the largest
     resolution.
     """
-    quad = quad if quad is not None else QuadratureSpec()
-    y_cutoff = quad.radius(state) + abs(x)
+    y_cutoff = _disk_radius(state) + abs(x)
     amps = state.amplitudes
     nodes = _ORACLE_START_NODES
     prev = _oracle_integral(amps, x, p, y_cutoff, nodes)
@@ -580,14 +565,14 @@ def _angular_integrals(weights: np.ndarray, r: np.ndarray, angular: int):
 def _phase_space_integrals(
     weights: np.ndarray, edges: np.ndarray, nodes: int, angular: int
 ):
-    """Integrals of |W| and W over the disk of radius edges[-1], for the
+    """Integrals of |W| and W over the disk of radius R = edges[-1], for the
     state with these _pair_weights.
 
     Tensor-product rule in polar coordinates. In r, against the r dr
     measure, the disk is split into panels at the given edges, the zero
     rings of the angular-mean profile; a panel of width h gets
-    q = max(12, round(nodes h / R)) nodes, rounded up to ceil(q/16) equal
-    sub-panels of the order-16 Gauss-Legendre rule. Around the circle the
+    round(nodes h / R) nodes, rounded up to whole sub-panels of the order-16
+    Gauss-Legendre rule, and at least one sub-panel. Around the circle the
     rule is the uniform midpoint one (_angular_integrals), which integrates
     the finite angular Fourier content of W exactly and, by the mirror
     symmetry of its nodes, needs W on half of them. Keeping the kinks of
@@ -596,12 +581,12 @@ def _phase_space_integrals(
     achieve.
     """
     widths = np.diff(edges)
-    r_parts, w_parts = [], []
-    for lo, width in zip(edges[:-1], widths):
-        q = max(12, int(round(nodes * width / edges[-1])))
-        rp, wp = _leggauss_scaled(-(-q // _GL_ORDER), lo, lo + width)
-        r_parts.append(rp)
-        w_parts.append(wp)
+    quota = np.round(nodes * widths / edges[-1]).astype(int)
+    rules = map(_unit_composite_rule, np.maximum(-(-quota // _GL_ORDER), 1).tolist())
+    r_parts, w_parts = zip(*[
+        (lo + width * unit_r, width * unit_w)
+        for lo, width, (unit_r, unit_w) in zip(edges[:-1], widths, rules)
+    ])
     r = np.concatenate(r_parts)
     wt = np.concatenate(w_parts) * r
     abs_sums, sums = _angular_integrals(weights, r, angular)
@@ -611,32 +596,33 @@ def _phase_space_integrals(
 def wigner_log_negativity_detailed(
     state: FockState, quad: QuadratureSpec | None = None
 ) -> WlnResult:
-    """log of the integrated absolute Wigner function, with convergence
-    metadata.
+    """log of the integrated absolute Wigner function over the disk of
+    radius _disk_radius(state), with convergence metadata.
 
     Natural logarithm throughout. The integral is evaluated at the
     requested resolution, then with both node counts doubled, up to
     _WLN_MAX_DOUBLINGS times, until two successive values differ by at
     most quad.wln_tolerance. The reported value, node counts and
     refinement_delta are those of the last pass. A NaN or infinite value
-    never passes: it is rejected at once, since finer nodes cannot repair
-    it. wigner_integral carries the signed integral
-    of W on the same grid, a ~1 sanity diagnostic.
+    never passes: every pass, the last included, rejects it at once, since
+    finer nodes cannot repair it. wigner_integral carries the signed
+    integral of W on the same grid, a ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
     amps = state.amplitudes
-    edges = _radial_panel_edges(amps, quad.radius(state))
+    edges = _radial_panel_edges(amps, _disk_radius(state))
     weights = _pair_weights(amps)
-    nodes, angular = quad.nodes, quad.angular_nodes
-    value = math.log(_phase_space_integrals(weights, edges, nodes, angular)[0])
-    for _ in range(_WLN_MAX_DOUBLINGS):
+    value = None
+    for doubling in range(_WLN_MAX_DOUBLINGS + 1):
+        nodes, angular = quad.nodes << doubling, quad.angular_nodes << doubling
+        abs_int, total = _phase_space_integrals(weights, edges, nodes, angular)
+        coarse, value = value, math.log(abs_int)
         if not math.isfinite(value):
             raise QuadratureNotConverged(
                 f"log-negativity is {value} at {nodes} x {angular} nodes"
             )
-        nodes, angular, coarse = 2 * nodes, 2 * angular, value
-        abs_int, total = _phase_space_integrals(weights, edges, nodes, angular)
-        value = math.log(abs_int)
+        if coarse is None:
+            continue
         delta = abs(value - coarse)
         if delta <= quad.wln_tolerance:
             return WlnResult(
@@ -651,4 +637,3 @@ def wigner_log_negativity_detailed(
         f"log-negativity moved by {delta:.3e} (> {quad.wln_tolerance}) when "
         f"doubling {nodes // 2} x {angular // 2} nodes"
     )
-

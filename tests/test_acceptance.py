@@ -25,6 +25,7 @@ from hyperfock import (
     normalize,
     overlap,
     pahs,
+    photon_number_distribution,
     pinned_L,
     purity_closed_form_pahs,
     reduced_purity,
@@ -168,7 +169,7 @@ def test_criterion_4_normalization_suite():
     assert all(s.dim <= 30 for s in states.values())
     problems = []
     for name, s in states.items():
-        if abs(float(np.sum(s.probabilities)) - 1.0) > 1e-12:
+        if abs(float(np.sum(photon_number_distribution(s))) - 1.0) > 1e-12:
             problems.append(f"{name}: pnd sum")
         detail = wigner_log_negativity_detailed(s)
         if abs(detail.wigner_integral - 1.0) > 1e-6:

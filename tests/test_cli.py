@@ -421,8 +421,6 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures coherent --alpha nan", "finite number"),
         ("measures coherent --alpha inf", "finite number"),
         ("measures coherent --alpha 1e200", "truncation"),
-        ("measures pahs --M 4 --eta 0.3 --quad-cutoff nan --measures wln",
-         "finite number"),
         ("wigner fock --n 1 --xmin nan --out {tmp}/g.csv", "finite number"),
         ("measures pahs --M 3 --eta 0.5 --L inf", "finite number"),
         # the pinned L = 2 M / eta overflows
@@ -478,7 +476,7 @@ def test_node_counts_at_their_caps_pass_validation(tmp_path, monkeypatch):
 
 
 _FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200")
-_FLOAT_FLAGS = ("--L", "--L-coeff", "--eta", "--alpha", "--quad-cutoff", "--wln-tolerance")
+_FLOAT_FLAGS = ("--L", "--L-coeff", "--eta", "--alpha", "--wln-tolerance")
 _INT_FLAGS = ("--M", "--k", "--dim", "--n")
 _VALID_FLAGS = {
     "pahs": "--M=4 --eta=0.3",

@@ -107,14 +107,6 @@ def test_purity_maximally_entangled_pair():
     assert abs(reduced_purity(t) - 0.5) <= 1e-12
 
 
-def test_purity_same_for_either_mode(rng):
-    for _ in range(8):
-        t = beamsplitter_with_vacuum(random_state(rng, int(rng.integers(1, 15))))
-        assert abs(reduced_purity(t, "A") - reduced_purity(t, "B")) <= 1e-12
-    with pytest.raises(ValueError):
-        reduced_purity(t, "C")
-
-
 def test_real_convention_splitter_same_purity(rng):
     """The i-phase splitter convention differs from the all-real one only
     by local phases, so both must give the same reduced purity."""

@@ -24,13 +24,14 @@ from hyperfock import (
 from hyperfock import wigner
 from hyperfock.wigner import (
     _angular_integrals,
+    _disk_radius,
     _laguerre_sums,
-    _leggauss_scaled,
     _oracle_integral,
     _pair_weights,
     _phase_space_integrals,
     _radial_modes,
     _radial_panel_edges,
+    _unit_composite_rule,
     _wigner_array,
 )
 from conftest import random_state
@@ -72,10 +73,9 @@ def test_closed_form_matches_oracle_for_pahs():
 
 def test_wigner_is_real_in_direct_integral(rng):
     # the defining transform must come out real for any state
-    quad = QuadratureSpec()
     for _ in range(4):
         s = random_state(rng, int(rng.integers(2, 10)))
-        y_cut = quad.radius(s) + 1.0
+        y_cut = _disk_radius(s) + 1.0
         val = _oracle_integral(s.amplitudes, 1.0, -0.7, y_cut, 2000)
         assert abs(val.imag) < 1e-10
 
@@ -151,18 +151,13 @@ def test_quadrature_spec_validation():
         QuadratureSpec(angular_nodes=8)
     with pytest.raises(InvalidParams):
         QuadratureSpec(wln_tolerance=0.0)
-    # explicit cutoff below sqrt(2<n>) + 5 is rejected at use time
-    spec = QuadratureSpec(cutoff=5.0)
-    with pytest.raises(InvalidParams):
-        spec.radius(fock(9, 10))
 
 
 def test_quadrature_radius_tracks_support():
-    spec = QuadratureSpec()
-    assert np.isclose(spec.radius(fock(0, 1)), 6.0)
-    assert np.isclose(spec.radius(fock(12, 13)), math.sqrt(25.0) + 5.0)
+    assert np.isclose(_disk_radius(fock(0, 1)), 6.0)
+    assert np.isclose(_disk_radius(fock(12, 13)), math.sqrt(25.0) + 5.0)
     # padding levels above the top occupied one do not widen the domain
-    assert np.isclose(spec.radius(fock(0, 13)), 6.0)
+    assert np.isclose(_disk_radius(fock(0, 13)), 6.0)
 
 
 def test_wln_vacuum_zero():
@@ -187,8 +182,7 @@ def test_wln_dual_path_single_photon():
     closed form and, independently, by the direct-transform oracle on the
     same quadrature nodes."""
     s = fock(1, 2)
-    spec = QuadratureSpec()
-    radius = spec.radius(s)
+    radius = _disk_radius(s)
     from numpy.polynomial.legendre import leggauss
 
     r, wr = leggauss(48)
@@ -236,6 +230,17 @@ def test_wln_rejects_non_finite_result(monkeypatch):
         wigner_log_negativity_detailed(fock(1, 2))
 
 
+def test_wln_rejects_a_nan_on_the_last_pass(monkeypatch):
+    # the first two passes differ by more than the tolerance; the third,
+    # the last allowed, is NaN and must not end as "moved by nan"
+    passes = iter([(1.5, 1.0), (1.6, 1.0), (math.nan, 1.0)])
+    monkeypatch.setattr(wigner, "_phase_space_integrals", lambda *args: next(passes))
+    with pytest.raises(
+        QuadratureNotConverged, match="log-negativity is nan at 2048 x 1024 nodes"
+    ):
+        wigner_log_negativity_detailed(fock(1, 2))
+
+
 def test_wln_rejects_non_finite_edge_profile_before_any_pass(monkeypatch):
     passes = []
     monkeypatch.setattr(
@@ -277,7 +282,7 @@ def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
 
     monkeypatch.setattr(wigner, "_angular_integrals", spy)
     for s in _separable_form_states(rng):
-        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
+        edges = _radial_panel_edges(s.amplitudes, _disk_radius(s))
         _phase_space_integrals(_pair_weights(s.amplitudes), edges, 128, 64)
         r, angular = seen.pop()
         assert angular == 64
@@ -289,7 +294,7 @@ def test_half_circle_sums_match_full_circle(rng):
             coherent_truncated(1.5, 16), normalize(rng.normal(size=9))]
     complex_ = [random_state(rng, d) for d in (3, 12)]
     for s in real + complex_:
-        r = np.linspace(0.0, QuadratureSpec().radius(s), 97)[1:]
+        r = np.linspace(0.0, _disk_radius(s), 97)[1:]
         assert (_pair_weights(s.amplitudes).dtype == np.float64) == (s in real)
         for angular in (64, 33):
             _assert_half_circle_sums(s.amplitudes, r, angular)
@@ -305,7 +310,7 @@ def _mean_profile(amps, r):
 
 def test_panel_edges_bracket_sign_changes_of_mean_profile(rng):
     for s in _separable_form_states(rng):
-        radius = QuadratureSpec().radius(s)
+        radius = _disk_radius(s)
         edges = _radial_panel_edges(s.amplitudes, radius)
         assert edges[0] == 0.0 and edges[-1] == radius
         step = 1e-9 * radius
@@ -321,7 +326,7 @@ def test_panel_edges_match_bisection(rng):
         pahs(HypergeometricParams(pinned_L(16, 0.95, 10.0), 16, 0.95, 2)),
     ]
     for s in states:
-        radius = QuadratureSpec().radius(s)
+        radius = _disk_radius(s)
         edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
         spacing = radius / 4096  # the probe spacing of the edge finder
         lo, hi = edges - spacing, edges + spacing
@@ -353,7 +358,7 @@ def test_panel_edges_skip_round_off_sign_changes():
     # the mean profile of this state is nil to round-off (|g| <= 2e-16)
     # for r < 0.02, where a noise sign change used to become an edge
     s = add_photons(binomial(6, 0.5), 2)
-    radius = QuadratureSpec().radius(s)
+    radius = _disk_radius(s)
     edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
     spacing = radius / 4096
     for e in edges:
@@ -389,23 +394,16 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
         pass_weights.clear()
         wigner_log_negativity_detailed(s, quad)
         assert pass_nodes == passes
-        assert edge_calls == [QuadratureSpec().radius(s)]
+        assert edge_calls == [_disk_radius(s)]
         # one real weight matrix per state, shared by every pass
         assert all(w is pass_weights[0] for w in pass_weights)
         assert pass_weights[0].dtype == np.float64
 
 
-def test_wln_respects_explicit_cutoff():
-    s = fock(1, 2)
-    wide = wigner_log_negativity_detailed(s, QuadratureSpec(cutoff=9.0)).value
-    auto = wigner_log_negativity_detailed(s).value
-    assert abs(wide - auto) < 1e-6
-
-
 def test_phase_space_integrals_unit_mass(rng):
     for dim in (1, 4, 9):
         s = random_state(rng, dim)
-        edges = _radial_panel_edges(s.amplitudes, QuadratureSpec().radius(s))
+        edges = _radial_panel_edges(s.amplitudes, _disk_radius(s))
         _, total = _phase_space_integrals(_pair_weights(s.amplitudes), edges, 256, 128)
         assert abs(total - 1.0) < 1e-9
 
@@ -418,7 +416,8 @@ def test_composite_rule_exact_to_degree_31():
     assert np.array_equal(wigner._GL_WEIGHTS, weights)
     lo, hi = -0.5, 1.5
     for panels in (1, 2, 3, 7, 16):
-        x, w = _leggauss_scaled(panels, lo, hi)
+        unit_x, unit_w = _unit_composite_rule(panels)
+        x, w = lo + (hi - lo) * unit_x, (hi - lo) * unit_w
         assert len(x) == 16 * panels
         assert math.isclose(w.sum(), hi - lo, rel_tol=1e-14)
         for j in range(32):
@@ -528,7 +527,7 @@ def test_blocked_kernel_matches_one_offset_recurrence_bit_for_bit(rng, monkeypat
     monkeypatch.setattr(wigner, "_OFFSET_BLOCK", 5)
     for s in _kernel_states(rng):
         amps = s.amplitudes
-        radius = QuadratureSpec().radius(s)
+        radius = _disk_radius(s)
         for count in (3, 7, 8, 9, 17) if s.dim < 201 else (3, 17):
             r = np.linspace(0.01, radius, count)
             ref = _assert_same_modes(s, r)
@@ -568,7 +567,7 @@ def test_kernel_start_value_at_the_origin_is_quiet():
 def test_high_fock_wigner_matches_60_digit_mpmath(n):
     mpmath = pytest.importorskip("mpmath")
     s = fock(n, n + 1)
-    radius = QuadratureSpec().radius(s)
+    radius = _disk_radius(s)
     r = np.array([0.0, 0.3, 2.0, 0.5 * radius, 0.8 * radius,
                   math.sqrt(2 * n + 1) - 0.5, radius - 1.0, radius])
     with mpmath.workdps(60):
@@ -607,7 +606,7 @@ def test_high_fock_panel_edges_find_every_zero(n):
     # L_n has n simple zeros, all inside the disk: n disjoint brackets of a
     # sign change are all of them
     s = fock(n, n + 1)
-    radius = QuadratureSpec().radius(s)
+    radius = _disk_radius(s)
     edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
     assert len(edges) == n
     step = 1e-9 * radius
