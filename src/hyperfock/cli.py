@@ -26,6 +26,7 @@ from .states import (
     coherent_tail_mass,
     coherent_truncated,
     fock,
+    hypergeometric,
     pahs,
     pinned_L,
 )
@@ -59,13 +60,9 @@ _INT_PARAMS = {"M", "k", "n", "dim"}
 # supported range: integer size inputs and states of at most this many Fock
 # levels; the dense splitter alone holds _MAX_DIM^2 complex amplitudes
 _MAX_DIM = 1001
-# node counts of at most these sizes, 8 or more times their defaults: a grid
-# holds a few arrays of nx * np values, and the last WLN pass, at four times
-# both quadrature counts, reduces 4096 radii x half the angular nodes at a
-# time (a WLN at the caps peaked at 186 MB)
+# grid node counts of at most this size, about ten times their defaults: a
+# grid holds a few arrays of nx * np values
 _MAX_GRID_NODES = 1001
-_MAX_QUAD_NODES = 4096
-_MAX_QUAD_ANGULAR_NODES = 2048
 
 OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
 
@@ -134,13 +131,11 @@ def _family_state(family: str, opts: dict):
     if family in ("pahs", "hypergeometric"):
         need("M", "eta")
         k = int(opts.get("k") or 0)
-        if family == "hypergeometric":
-            k = 0
         L = opts.get("L")
         if L is None:
             L = pinned_L(int(opts["M"]), float(opts["eta"]), float(opts["L_coeff"]))
         params = HypergeometricParams(float(L), int(opts["M"]), float(opts["eta"]), k)
-        state = pahs(params)
+        state = (hypergeometric if family == "hypergeometric" else pahs)(params)
         return state, {"L": params.L, "M": params.M, "eta": params.eta, "k": params.k}
     if family == "binomial":
         need("M", "eta")
@@ -176,11 +171,7 @@ def _auto_coherent_dim(alpha: float) -> int:
 
 
 def _quad_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        nodes=args.quad_nodes,
-        angular_nodes=args.quad_angular_nodes,
-        wln_tolerance=args.wln_tolerance,
-    )
+    return QuadratureSpec(wln_tolerance=args.wln_tolerance)
 
 
 def _measure_names(raw: str):
@@ -417,13 +408,6 @@ def _add_state_flags(p: argparse.ArgumentParser):
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
-    p.add_argument("--quad-nodes", type=_int_at_most(_MAX_QUAD_NODES), default=512,
-                   help="radial Gauss-Legendre nodes for the negativity integral "
-                        f"(at most {_MAX_QUAD_NODES})")
-    p.add_argument("--quad-angular-nodes", type=_int_at_most(_MAX_QUAD_ANGULAR_NODES),
-                   default=256,
-                   help="uniform angular nodes for the negativity integral "
-                        f"(at most {_MAX_QUAD_ANGULAR_NODES})")
     p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
                    help="allowed change of the log-negativity under node doubling")
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import entanglement, wigner
+from .errors import InvalidParams
 from .fockspace import FockState, mean_photon_number, photon_number_distribution
 
 # below this, a probability is treated as exactly zero when classifying
@@ -84,7 +85,7 @@ def measure_report(
     include = set(include)
     unknown = include - set(ALL_MEASURES)
     if unknown:
-        raise ValueError(f"unknown measures: {sorted(unknown)}")
+        raise InvalidParams(f"unknown measures: {sorted(unknown)}")
     fields: dict = {}
     if "mu" in include:
         fields["mu"] = sps_quality_mu(state)

@@ -66,46 +66,38 @@ _ORACLE_MAX_NODES = 256 * _GL_ORDER
 _ORACLE_ACCEPT = 1e-9
 _ORACLE_FAIL = 1e-7
 
-# log-negativity refinement: node doublings allowed before giving up
+# log-negativity refinement: radial and angular node counts of the first
+# pass, and the node doublings allowed after it before giving up
+_WLN_NODES = 512
+_WLN_ANGULAR_NODES = 256
 _WLN_MAX_DOUBLINGS = 2
 
 # Fock offsets and radial nodes per Laguerre recurrence of the radial modes.
-# A block of up to half _NODE_BLOCK nodes (a WLN pass at the default node
-# counts, a point) takes _OFFSET_BLOCK offsets per recurrence, so that a state
-# of up to 16 levels needs one; a larger block (a grid) takes one offset at
-# a time, whose 1-d buffers stay in cache and run about twice as fast per
-# value. Either way the buffers hold at most 16 x 4096 values (512 kB) each.
+# A block of up to half _NODE_BLOCK nodes (a WLN pass, a point) takes
+# _OFFSET_BLOCK offsets per recurrence, so that a state of up to 16 levels
+# needs one; a larger block (a grid) takes one offset at a time, whose 1-d
+# buffers stay in cache and run about twice as fast per value. Either way
+# the buffers hold at most 16 x 4096 values (512 kB) each.
 _OFFSET_BLOCK = 16
 _NODE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls the resolution of the log-negativity quadrature. The disk
-    it covers is not a setting: its radius comes from the state alone
-    (_disk_radius).
+    """The one setting of the log-negativity quadrature, validated when the
+    spec is built. Neither the disk nor the nodes are settings: the disk's
+    radius comes from the state alone (_disk_radius), and the radial x
+    angular node counts run 512 x 256, 1024 x 512, 2048 x 1024 until two
+    successive values agree (wigner_log_negativity_detailed).
 
-    nodes -- radial nodes: each radial panel gets a share proportional to
-      its width, rounded up to whole sub-panels of the composite order-16
-      Gauss-Legendre rule, at least one sub-panel; angular_nodes -- uniform
-      nodes around the circle. Results report these requested counts. The
-      negativity integral is evaluated at this resolution and again with
-      both counts doubled, up to _WLN_MAX_DOUBLINGS times, until two
-      successive values agree.
     wln_tolerance -- maximum allowed change of the log-negativity under
       one node doubling; a result that still moves more after the last
       doubling is rejected as unconverged.
     """
 
-    nodes: int = 512
-    angular_nodes: int = 256
     wln_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.nodes < 32 or self.angular_nodes < 32:
-            raise InvalidParams(
-                f"node counts must be >= 32, got {self.nodes} x {self.angular_nodes}"
-            )
         if not self.wln_tolerance > 0.0:
             raise InvalidParams("wln_tolerance must be positive")
 
@@ -369,6 +361,9 @@ def wigner_grid(
     """Evaluate the closed-form Wigner function on a rectangular grid."""
     if nx < 2 or n_p < 2:
         raise InvalidParams("grid needs at least 2 nodes per axis")
+    if not (x_min < x_max and p_min < p_max):
+        raise InvalidParams(f"grid window must be non-empty, got x in "
+                            f"[{x_min}, {x_max}] and p in [{p_min}, {p_max}]")
     xs = np.linspace(x_min, x_max, nx)
     ps = np.linspace(p_min, p_max, n_p)
     values = _wigner_array(state.amplitudes, xs[:, None], ps[None, :])
@@ -384,7 +379,7 @@ def wigner_grid(
     )
 
 
-# 256 entries hold every sub-panel count the default WLN passes (at most
+# 256 entries hold every sub-panel count the WLN passes (at most
 # 128) and the oracle (16 to 256 by doubling) ask for, about 2 MB in all
 @lru_cache(maxsize=256)
 def _unit_composite_rule(panels: int):
@@ -599,14 +594,16 @@ def wigner_log_negativity_detailed(
     """log of the integrated absolute Wigner function over the disk of
     radius _disk_radius(state), with convergence metadata.
 
-    Natural logarithm throughout. The integral is evaluated at the
-    requested resolution, then with both node counts doubled, up to
-    _WLN_MAX_DOUBLINGS times, until two successive values differ by at
-    most quad.wln_tolerance. The reported value, node counts and
-    refinement_delta are those of the last pass. A NaN or infinite value
-    never passes: every pass, the last included, rejects it at once, since
-    finer nodes cannot repair it. wigner_integral carries the signed
-    integral of W on the same grid, a ~1 sanity diagnostic.
+    Natural logarithm throughout. The integral is evaluated at
+    _WLN_NODES x _WLN_ANGULAR_NODES nodes, then with both node counts
+    doubled, up to _WLN_MAX_DOUBLINGS times, until two successive values
+    differ by at most quad.wln_tolerance. The reported value, node counts
+    and refinement_delta are those of the last pass, the node counts as
+    scheduled, before the radial panels round them up
+    (_phase_space_integrals). A NaN or infinite value never passes: every
+    pass, the last included, rejects it at once, since finer nodes cannot
+    repair it. wigner_integral carries the signed integral of W on the
+    same grid, a ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
     amps = state.amplitudes
@@ -614,7 +611,7 @@ def wigner_log_negativity_detailed(
     weights = _pair_weights(amps)
     value = None
     for doubling in range(_WLN_MAX_DOUBLINGS + 1):
-        nodes, angular = quad.nodes << doubling, quad.angular_nodes << doubling
+        nodes, angular = _WLN_NODES << doubling, _WLN_ANGULAR_NODES << doubling
         abs_int, total = _phase_space_integrals(weights, edges, nodes, angular)
         coarse, value = value, math.log(abs_int)
         if not math.isfinite(value):

@@ -432,12 +432,23 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures pahs --M 1000 --eta 0.3 --k 1 --measures mu", "1001 Fock levels"),
         ("measures fock --n 1001 --measures mu", "1001 Fock levels"),
         ("measures coherent --alpha 300", "truncation"),
-        # node counts above their caps, checked before any array is sized
+        # the bare hypergeometric state takes no added photons
+        ("state hypergeometric --M 4 --eta 0.3 --k 3", "requires k = 0"),
+        ("measures hypergeometric --M 4 --eta 0.3 --k 1 --measures mu",
+         "requires k = 0"),
+        # grid node counts above their caps, checked before any array is sized
         ("wigner fock --n 1 --nx 1002 --np 5 --out {tmp}/g.csv", "at most 1001"),
         ("wigner fock --n 1 --nx 5 --np 1002 --out {tmp}/g.csv", "at most 1001"),
-        ("measures fock --n 1 --measures wln --quad-nodes 4097", "at most 4096"),
-        ("measures fock --n 1 --measures wln --quad-angular-nodes 2049",
-         "at most 2048"),
+        # reversed and empty grid windows
+        ("wigner pahs --M 4 --eta 0.3 --nx 21 --np 21 --xmin 6 --xmax -6 "
+         "--out {tmp}/g.csv", "non-empty"),
+        ("wigner fock --n 1 --xmin 1 --xmax 1 --out {tmp}/g.csv", "non-empty"),
+        ("wigner fock --n 1 --pmin 2 --pmax -2 --out {tmp}/g.csv", "non-empty"),
+        # the WLN node counts are not settings
+        ("measures fock --n 1 --measures wln --quad-nodes 512",
+         "unrecognized arguments"),
+        ("measures fock --n 1 --measures wln --quad-angular-nodes 256",
+         "unrecognized arguments"),
     ],
 )
 def test_bad_flag_values_exit_2(capsys, tmp_path, argv, reason):
@@ -463,16 +474,11 @@ def test_node_counts_at_their_caps_pass_validation(tmp_path, monkeypatch):
         raise _StopAfterValidation
 
     monkeypatch.setattr(cli, "wigner_grid", record)
-    monkeypatch.setattr(cli, "measure_report", record)
     with pytest.raises(_StopAfterValidation):
         main(["wigner", "fock", "--n", "1", "--nx", "1001", "--np", "1001",
               "--out", str(tmp_path / "g.csv")])
-    with pytest.raises(_StopAfterValidation):
-        main(["measures", "fock", "--n", "1", "--measures", "wln",
-              "--quad-nodes", "4096", "--quad-angular-nodes", "2048"])
-    grid, measures = seen
+    (grid,) = seen
     assert grid["nx"] == grid["n_p"] == 1001
-    assert (measures["quad"].nodes, measures["quad"].angular_nodes) == (4096, 2048)
 
 
 _FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200")

@@ -5,6 +5,7 @@ import pytest
 
 from hyperfock import (
     HypergeometricParams,
+    InvalidParams,
     MeasureReport,
     anticlassicality,
     coherent_truncated,
@@ -112,5 +113,5 @@ def test_measure_report_full():
 
 
 def test_measure_report_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         measure_report(fock(0, 1), include=("mu", "sparkle"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,16 @@ def test_grid_trapezoid_integral_near_one():
     assert abs(g.integral() - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(6, -6, -6, 6), (1, 1, -4, 4), (-4, 4, 2, -2), (-4, 4, 0, 0)],
+)
+def test_grid_rejects_empty_or_reversed_window(window):
+    x_min, x_max, p_min, p_max = window
+    with pytest.raises(InvalidParams, match="non-empty"):
+        wigner_grid(fock(1, 2), x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)
+
+
 def test_grid_values_read_only():
     g = wigner_grid(fock(0, 1), nx=11, n_p=11)
     with pytest.raises(ValueError):
@@ -146,11 +157,9 @@ def test_grid_csv_text_is_cell_by_cell_17g():
 
 def test_quadrature_spec_validation():
     with pytest.raises(InvalidParams):
-        QuadratureSpec(nodes=8)
-    with pytest.raises(InvalidParams):
-        QuadratureSpec(angular_nodes=8)
-    with pytest.raises(InvalidParams):
         QuadratureSpec(wln_tolerance=0.0)
+    # the tolerance is the one setting: the node schedule is fixed
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["wln_tolerance"]
 
 
 def test_quadrature_radius_tracks_support():
@@ -375,7 +384,7 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
         return _radial_panel_edges(amps, radius)
 
     def integrals_spy(weights, edges, nodes, angular):
-        pass_nodes.append(nodes)
+        pass_nodes.append((nodes, angular))
         pass_weights.append(weights)
         return _phase_space_integrals(weights, edges, nodes, angular)
 
@@ -386,8 +395,9 @@ def test_panel_edges_computed_once_per_wln_call(monkeypatch):
         HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2)
     )
     for s, quad, passes in (
-        (fock(1, 2), QuadratureSpec(), [512, 1024]),
-        (doubles_twice, QuadratureSpec(wln_tolerance=1e-5), [512, 1024, 2048]),
+        (fock(1, 2), QuadratureSpec(), [(512, 256), (1024, 512)]),
+        (doubles_twice, QuadratureSpec(wln_tolerance=1e-5),
+         [(512, 256), (1024, 512), (2048, 1024)]),
     ):
         edge_calls.clear()
         pass_nodes.clear()
