@@ -409,7 +409,8 @@ def _add_state_flags(p: argparse.ArgumentParser):
 
 def _add_quad_flags(p: argparse.ArgumentParser):
     p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
-                   help="allowed change of the log-negativity under node doubling")
+                   help="allowed error estimate of the log-negativity; the nodes "
+                        "are refined until it is met, or the command exits 3")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ class TwoModeState:
         if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
             raise ValueError("two-mode amplitudes must be a square matrix")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"two-mode amplitudes not unit-norm: |c|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -33,7 +33,7 @@ class FockState:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise ValueError(
                 f"amplitudes are not unit-norm (|c|^2 = {norm_sq!r}); "
                 "use normalize() to construct a state from raw amplitudes"
@@ -49,9 +49,12 @@ class FockState:
 def normalize(amplitudes) -> FockState:
     """Scale raw amplitudes to unit norm.
 
-    Raises ZeroState when the vector is numerically zero (norm < 1e-300).
+    Raises InvalidParams when an amplitude is NaN or infinite, and ZeroState
+    when the vector is numerically zero (norm < 1e-300).
     """
     arr = np.asarray(amplitudes, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise InvalidParams("cannot normalize non-finite amplitudes")
     norm = np.linalg.norm(arr)
     if not norm > _ZERO_NORM:
         raise ZeroState("cannot normalize a numerically zero amplitude vector")

@@ -66,11 +66,34 @@ _ORACLE_MAX_NODES = 256 * _GL_ORDER
 _ORACLE_ACCEPT = 1e-9
 _ORACLE_FAIL = 1e-7
 
-# log-negativity refinement: radial and angular node counts of the first
-# pass, and the node doublings allowed after it before giving up
+# The radial rule of the log-negativity: the 15-point Gauss-Kronrod rule and
+# its embedded 7-point Gauss rule (QUADPACK's qk15; Piessens et al. 1983,
+# Laurie, Math. Comp. 66, 1133 (1997)), tabulated as (node, Kronrod weight,
+# Gauss weight) on [0, 1] of [-1, 1]; the Gauss weight is 0.0 at the nodes
+# that Kronrod's extension adds. One evaluation serves both rules, so
+# |Kronrod - Gauss| estimates the error of each sub-panel for free.
+_GK_POSITIVE = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+)
+_GK_NODES = np.array([-x for x, _, _ in _GK_POSITIVE[:0:-1]] + [x for x, _, _ in _GK_POSITIVE])
+_GK_ORDER = len(_GK_NODES)
+# columns: the Kronrod and the Gauss weights of each node
+_GK_WEIGHTS = np.array([w for _, *w in _GK_POSITIVE[:0:-1] + _GK_POSITIVE])
+
+# log-negativity refinement: the radial node density of the first
+# evaluation (nodes per disk radius), the least angular node count, and
+# the caps on radial nodes evaluated in all and on the angular count
 _WLN_NODES = 512
 _WLN_ANGULAR_NODES = 256
-_WLN_MAX_DOUBLINGS = 2
+_WLN_MAX_NODES = 1 << 15
+_WLN_MAX_ANGULAR_NODES = 1 << 14
 
 # Fock offsets and radial nodes per Laguerre recurrence of the radial modes.
 # A block of up to half _NODE_BLOCK nodes (a WLN pass, a point) takes
@@ -86,13 +109,13 @@ _NODE_BLOCK = 4096
 class QuadratureSpec:
     """The one setting of the log-negativity quadrature, validated when the
     spec is built. Neither the disk nor the nodes are settings: the disk's
-    radius comes from the state alone (_disk_radius), and the radial x
-    angular node counts run 512 x 256, 1024 x 512, 2048 x 1024 until two
-    successive values agree (wigner_log_negativity_detailed).
+    radius comes from the state alone (_disk_radius), and the nodes are
+    refined adaptively from error estimates (wigner_log_negativity_detailed).
 
-    wln_tolerance -- maximum allowed change of the log-negativity under
-      one node doubling; a result that still moves more after the last
-      doubling is rejected as unconverged.
+    wln_tolerance -- bound on the summed radial and angular error estimate
+      of the integral of |W|, relative to that integral, and so on the
+      error of the log-negativity; a result that cannot meet it within
+      the node caps is rejected as unconverged.
     """
 
     wln_tolerance: float = 1e-4
@@ -379,9 +402,9 @@ def wigner_grid(
     )
 
 
-# 256 entries hold every sub-panel count the WLN passes (at most
-# 128) and the oracle (16 to 256 by doubling) ask for, about 2 MB in all
-@lru_cache(maxsize=256)
+# 8 entries hold every sub-panel count the oracle asks for (8 to 128 by
+# doubling), about 64 kB in all
+@lru_cache(maxsize=8)
 def _unit_composite_rule(panels: int):
     """Composite rule on [0, 1]: `panels` equal sub-panels, each carrying
     the order-_GL_ORDER Gauss-Legendre rule."""
@@ -432,8 +455,11 @@ def _oracle_integral(
 
 def wigner_oracle_point(state: FockState, x: float, p: float) -> float:
     """W(x, p) by direct numerical integration of the position-space
-    transform. Independent of the closed form; intended for validation at
-    desk scale (dim up to a few tens).
+    transform. Independent of the closed form; intended for validation.
+    It holds up to |400>, which agrees with wigner_point to 1e-14 at (0.3,
+    -0.2) and at (10, 5); from about 500 levels on its largest resolution
+    no longer settles and it raises (|1000> moves by 4.5e-3 between 2048
+    and 4096 nodes).
 
     The sub-panel count of the composite rule is doubled, from 16 up to
     256, until successive values agree to 1e-9; QuadratureNotConverged is
@@ -524,68 +550,81 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _angular_integrals(weights: np.ndarray, r: np.ndarray, angular: int):
-    """Per radius r_i, the integrals of |W| and W around the circle, by the
-    uniform midpoint rule with `angular` nodes, for the state with these
-    _pair_weights.
+    """Per radius r_i, the integrals around the circle of |W| and W by the
+    trapezoid rule on the `angular` nodes t_j = 2 pi j / angular (a multiple
+    of 4), and of |W| by the rule on every other one of those nodes, for the
+    state with these _pair_weights. The two rules for |W| differ by about
+    the error of the coarser one.
 
     The nodes come in mirror pairs t and 2 pi - t, so W is evaluated on the
-    first ceil(angular / 2) of them only, as W(r, +-t) = C +- S with
+    closed half circle 0 <= t <= pi only, as W(r, +-t) = C +- S with
     C = Re g . cos(at) and S = Im g . sin(at); for real weights g is real
     and S vanishes. A pair adds |C + S| + |C - S| = 2 max(|C|, |S|) to the
-    integral of |W| and 2 C to that of W. For odd counts the node at pi is
-    its own mirror and carries half weight. Each block of radial modes is
-    reduced to these two vectors as it comes, so neither the modes nor C is
-    ever held for every radius at once.
+    integral of |W| and 2 C to that of W; t = 0 and t = pi are their own
+    mirror and carry half weight. Each block of radial modes is reduced to
+    these three vectors as it comes, so neither the modes nor C is ever held
+    for every radius at once.
     """
-    half = -(-angular // 2)
-    at = np.outer(np.arange(len(weights)), 2.0 * math.pi * (np.arange(half) + 0.5) / angular)
+    half = angular // 2
+    at = np.outer(np.arange(len(weights)), 2.0 * math.pi * np.arange(half + 1) / angular)
     cos_at = np.cos(at)
     sin_at = np.sin(at) if np.iscomplexobj(weights) else None
-    pair_weights = np.full(half, 4.0 * math.pi / angular)
-    if angular % 2:
-        pair_weights[-1] *= 0.5
-    abs_sums, sums = np.empty(len(r)), np.empty(len(r))
-    c_buf = np.empty((min(len(r), _NODE_BLOCK), half))
+    # columns: the pair weights of the fine rule and of the coarse one
+    rules = np.zeros((half + 1, 2))
+    rules[:, 0] = 4.0 * math.pi / angular
+    rules[[0, -1], 0] *= 0.5
+    rules[::2, 1] = 2.0 * rules[::2, 0]
+    abs_sums, sums = np.empty((len(r), 2)), np.empty(len(r))
+    # C is formed for at most _NODE_BLOCK x 129 values at a time
+    step = max(_NODE_BLOCK * 129 // (half + 1), 1)
+    c_buf = np.empty((min(len(r), step), half + 1))
     for lo, g in _radial_modes(weights, 2.0 * r * r):
-        rows = slice(lo, lo + g.shape[1])
-        c = np.matmul(g.real.T, cos_at, out=c_buf[: g.shape[1]])
-        sums[rows] = c @ pair_weights
-        pair = np.abs(c, out=c)
-        if sin_at is not None:
-            np.maximum(pair, np.abs(g.imag.T @ sin_at), out=pair)
-        abs_sums[rows] = pair @ pair_weights
-    return abs_sums, sums
+        for i in range(0, g.shape[1], step):
+            part = g[:, i : i + step]
+            rows = slice(lo + i, lo + i + part.shape[1])
+            c = np.matmul(part.real.T, cos_at, out=c_buf[: part.shape[1]])
+            sums[rows] = c @ rules[:, 0]
+            pair = np.abs(c, out=c)
+            if sin_at is not None:
+                np.maximum(pair, np.abs(part.imag.T @ sin_at), out=pair)
+            abs_sums[rows] = pair @ rules
+    return abs_sums[:, 0], abs_sums[:, 1], sums
 
 
-def _phase_space_integrals(
-    weights: np.ndarray, edges: np.ndarray, nodes: int, angular: int
-):
-    """Integrals of |W| and W over the disk of radius R = edges[-1], for the
-    state with these _pair_weights.
+def _phase_space_integrals(weights: np.ndarray, lo: np.ndarray, hi: np.ndarray, angular: int):
+    """Integrals of |W| and W over the annuli lo_i <= r <= hi_i, for the
+    state with these _pair_weights, each by the 15-point Gauss-Kronrod rule
+    in r against the r dr measure and the trapezoid rule with `angular`
+    nodes around the circle (_angular_integrals).
 
-    Tensor-product rule in polar coordinates. In r, against the r dr
-    measure, the disk is split into panels at the given edges, the zero
-    rings of the angular-mean profile; a panel of width h gets
-    round(nodes h / R) nodes, rounded up to whole sub-panels of the order-16
-    Gauss-Legendre rule, and at least one sub-panel. Around the circle the
-    rule is the uniform midpoint one (_angular_integrals), which integrates
-    the finite angular Fourier content of W exactly and, by the mirror
-    symmetry of its nodes, needs W on half of them. Keeping the kinks of
-    |W| on (or near) panel boundaries restores fast radial convergence that
-    a Cartesian grid, whose every row and column crosses the rings, cannot
-    achieve.
+    Returns four rows, one column per annulus: the Kronrod value of the
+    integral of |W|, the embedded Gauss one (their difference estimates the
+    radial error), the Kronrod value on every other angular node (its
+    difference from the first estimates the angular error) and the Kronrod
+    value of the integral of W.
     """
+    half = 0.5 * (hi - lo)
+    r = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+    integrands = np.stack(_angular_integrals(weights, r, angular)) * r
+    rules = integrands.reshape(3, len(lo), _GK_ORDER) @ _GK_WEIGHTS * half[:, None]
+    return np.stack([rules[0, :, 0], rules[0, :, 1], rules[1, :, 0], rules[2, :, 0]])
+
+
+def _initial_sub_panels(edges: np.ndarray):
+    """Bounds (lo, hi) of the sub-panels that the refinement starts from:
+    each radial panel split into equal parts, as many as put _WLN_NODES
+    Gauss-Kronrod nodes on the disk radius, and at least one. The zero
+    rings of the angular-mean profile, where |W| has its kinks for radially
+    symmetric states and near which it has them otherwise, so lie on
+    sub-panel bounds, which keeps the radial rule convergent fast; a
+    Cartesian grid, whose every row and column crosses the rings, cannot."""
     widths = np.diff(edges)
-    quota = np.round(nodes * widths / edges[-1]).astype(int)
-    rules = map(_unit_composite_rule, np.maximum(-(-quota // _GL_ORDER), 1).tolist())
-    r_parts, w_parts = zip(*[
-        (lo + width * unit_r, width * unit_w)
-        for lo, width, (unit_r, unit_w) in zip(edges[:-1], widths, rules)
-    ])
-    r = np.concatenate(r_parts)
-    wt = np.concatenate(w_parts) * r
-    abs_sums, sums = _angular_integrals(weights, r, angular)
-    return float(wt @ abs_sums), float(wt @ sums)
+    parts = np.maximum(np.ceil(widths * (_WLN_NODES / (_GK_ORDER * edges[-1]))), 1).astype(int)
+    panel = np.repeat(np.arange(len(widths)), parts)
+    step = np.arange(len(panel)) - np.repeat(np.cumsum(parts) - parts, parts)
+    # a + (b - a) f would miss the panel edge b at f = 1 by round-off
+    f = np.stack([step, step + 1]) / parts[panel]
+    return edges[panel] * (1.0 - f) + edges[panel + 1] * f
 
 
 def wigner_log_negativity_detailed(
@@ -594,43 +633,81 @@ def wigner_log_negativity_detailed(
     """log of the integrated absolute Wigner function over the disk of
     radius _disk_radius(state), with convergence metadata.
 
-    Natural logarithm throughout. The integral is evaluated at
-    _WLN_NODES x _WLN_ANGULAR_NODES nodes, then with both node counts
-    doubled, up to _WLN_MAX_DOUBLINGS times, until two successive values
-    differ by at most quad.wln_tolerance. The reported value, node counts
-    and refinement_delta are those of the last pass, the node counts as
-    scheduled, before the radial panels round them up
-    (_phase_space_integrals). A NaN or infinite value never passes: every
-    pass, the last included, rejects it at once, since finer nodes cannot
-    repair it. wigner_integral carries the signed integral of W on the
-    same grid, a ~1 sanity diagnostic.
+    Natural logarithm throughout. One adaptive pass: the disk is cut into
+    annular sub-panels on the radial panel edges (_initial_sub_panels),
+    each integrated by _phase_space_integrals, whose embedded rules give
+    a radial error estimate per sub-panel and an angular one. Until the
+    summed estimates are at most quad.wln_tolerance times the integral of
+    |W| (then the log-negativity is within about that tolerance), the
+    sub-panels with the largest radial estimates are bisected, as many as
+    carry the excess, in batches (QUADPACK's greedy rule); the angular node
+    count, at first the larger of _WLN_ANGULAR_NODES and the smallest power
+    of two >= 2d, is doubled instead while the angular estimate exceeds half
+    the allowance, and every sub-panel is evaluated again. The reported
+    nodes are the radial nodes evaluated in all, angular_nodes the angular
+    count of the result and refinement_delta the summed estimate relative
+    to the integral of |W|. QuadratureNotConverged is raised once refining
+    would pass _WLN_MAX_NODES radial nodes or _WLN_MAX_ANGULAR_NODES
+    angles, and at once for a NaN or infinite integral, which finer nodes
+    cannot repair.
+    wigner_integral carries the signed integral of W on the same nodes, a
+    ~1 sanity diagnostic.
     """
     quad = quad if quad is not None else QuadratureSpec()
     amps = state.amplitudes
     edges = _radial_panel_edges(amps, _disk_radius(state))
     weights = _pair_weights(amps)
-    value = None
-    for doubling in range(_WLN_MAX_DOUBLINGS + 1):
-        nodes, angular = _WLN_NODES << doubling, _WLN_ANGULAR_NODES << doubling
-        abs_int, total = _phase_space_integrals(weights, edges, nodes, angular)
-        coarse, value = value, math.log(abs_int)
-        if not math.isfinite(value):
+    angular = max(_WLN_ANGULAR_NODES, 1 << (2 * len(amps) - 1).bit_length())
+    lo, hi = _initial_sub_panels(edges)
+    # per sub-panel: Kronrod and Gauss |W|, coarse-angle |W| and W
+    sums = np.empty((4, 0))
+    new_lo, new_hi = lo, hi
+    nodes = 0
+    while True:
+        nodes += _GK_ORDER * len(new_lo)
+        fresh = _phase_space_integrals(weights, new_lo, new_hi, angular)
+        sums = np.concatenate([sums, fresh], axis=1)
+        kronrod, gauss, coarse, signed = sums
+        abs_int, total = float(kronrod.sum()), float(signed.sum())
+        value = math.log(abs_int) if abs_int else -math.inf
+        if not (math.isfinite(value) and math.isfinite(total)):
             raise QuadratureNotConverged(
                 f"log-negativity is {value} at {nodes} x {angular} nodes"
             )
-        if coarse is None:
-            continue
-        delta = abs(value - coarse)
-        if delta <= quad.wln_tolerance:
+        radial = np.abs(kronrod - gauss)
+        angular_error = abs(abs_int - float(coarse.sum()))
+        estimate = float(radial.sum()) + angular_error
+        allowed = quad.wln_tolerance * abs_int
+        if estimate <= allowed:
             return WlnResult(
                 value=value,
                 nodes=nodes,
                 angular_nodes=angular,
-                refinement_delta=delta,
+                refinement_delta=estimate / abs_int,
                 abs_integral=abs_int,
                 wigner_integral=total,
             )
-    raise QuadratureNotConverged(
-        f"log-negativity moved by {delta:.3e} (> {quad.wln_tolerance}) when "
-        f"doubling {nodes // 2} x {angular // 2} nodes"
-    )
+        if angular_error > 0.5 * allowed:
+            refined, new_lo, new_hi = 2 * angular, lo, hi
+        else:
+            # split the fewest sub-panels whose estimates carry the excess
+            refined = angular
+            order = np.argsort(radial)[::-1]
+            carried = np.cumsum(radial[order])
+            split = order[: np.searchsorted(carried, estimate - allowed) + 1]
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            keep = np.ones(len(lo), dtype=bool)
+            keep[split] = False
+            sums = sums[:, keep]
+            lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        if (refined > _WLN_MAX_ANGULAR_NODES
+                or nodes + _GK_ORDER * len(new_lo) > _WLN_MAX_NODES):
+            raise QuadratureNotConverged(
+                f"log-negativity error estimate {estimate / abs_int:.3e} "
+                f"(> {quad.wln_tolerance}) at {nodes} radial x {angular} angular nodes; "
+                f"refining would pass the cap of {_WLN_MAX_NODES} radial or "
+                f"{_WLN_MAX_ANGULAR_NODES} angular nodes"
+            )
+        if refined != angular:
+            angular, sums = refined, sums[:, :0]

@@ -272,18 +272,22 @@ def test_unconverged_quadrature_exit_code(capsys):
     assert "log-negativity" in err
 
 
-def test_wln_converges_after_second_node_doubling(capsys):
-    # WLN moves by 4.7e-5 from 512 x 256 to 1024 x 512 nodes, above the
-    # tolerance 1e-5, and by 2.5e-6 one doubling later
-    code, out, _ = run_cli(
-        capsys,
-        "measures", "pahs", "--M", "12", "--eta", "0.928008", "--k", "2",
-        "--L-coeff", "10", "--measures", "wln", "--wln-tolerance", "1e-5",
-    )
-    assert code == 0
-    meta = json.loads(out)["metadata"]
-    assert meta["wln_nodes"] == 2048 and meta["wln_angular_nodes"] == 1024
-    assert meta["wln_refinement_delta"] <= 1e-4
+def test_wln_refines_until_its_error_estimate_meets_the_tolerance(capsys):
+    # this state meets the default tolerance with its first sub-panels and
+    # needs more radial nodes, at the same 256 angles, for 1e-5
+    meta = {}
+    for tolerance in ("1e-4", "1e-5"):
+        code, out, _ = run_cli(
+            capsys,
+            "measures", "pahs", "--M", "12", "--eta", "0.928008", "--k", "2",
+            "--L-coeff", "10", "--measures", "wln", "--wln-tolerance", tolerance,
+        )
+        assert code == 0
+        meta[tolerance] = json.loads(out)["metadata"]
+        assert meta[tolerance]["wln_refinement_delta"] <= float(tolerance)
+        assert meta[tolerance]["wln_angular_nodes"] == 256
+        assert meta[tolerance]["wln_nodes"] % 15 == 0  # whole 15-node sub-panels
+    assert meta["1e-5"]["wln_nodes"] > meta["1e-4"]["wln_nodes"]
 
 
 def test_sweep_flags_unconverged_rows(capsys, tmp_path):

@@ -96,6 +96,8 @@ def test_two_mode_state_validation():
         TwoModeState(np.ones((2, 3), dtype=complex))
     with pytest.raises(ValueError):
         TwoModeState(np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="not unit-norm"):
+        TwoModeState(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_purity_product_state():

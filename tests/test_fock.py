@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperfock import (
     FockState,
+    InvalidParams,
     ZeroState,
     add_photons,
     fock,
@@ -38,6 +39,20 @@ def test_normalize_zero_raises():
 def test_fockstate_rejects_unnormalized():
     with pytest.raises(ValueError):
         FockState(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_fockstate_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="not unit-norm"):
+        FockState(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_normalize_rejects_non_finite_amplitudes(bad):
+    # not a NaN state, and not a "numerically zero" one either
+    with pytest.raises(InvalidParams, match="non-finite amplitudes") as caught:
+        normalize([bad, 1.0])
+    assert not isinstance(caught.value, ZeroState)
 
 
 def test_fockstate_amplitudes_read_only():

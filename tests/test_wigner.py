@@ -26,6 +26,7 @@ from hyperfock import wigner
 from hyperfock.wigner import (
     _angular_integrals,
     _disk_radius,
+    _initial_sub_panels,
     _laguerre_sums,
     _oracle_integral,
     _pair_weights,
@@ -70,6 +71,19 @@ def test_closed_form_matches_oracle_for_pahs():
     s = pahs(HypergeometricParams(L=200.0, M=10, eta=0.9, k=1))
     for x, p in [(-3.0, 0.0), (-1.0, 1.5), (0.0, 0.0), (2.0, -2.0), (4.0, 1.0)]:
         assert abs(wigner_point(s, x, p) - wigner_oracle_point(s, x, p)) < 1e-6
+
+
+def test_oracle_matches_closed_form_at_fock_400():
+    # the top of the oracle's range, near the origin and far out
+    s = fock(400, 401)
+    for x, p in ((0.3, -0.2), (10.0, 5.0)):
+        assert abs(wigner_oracle_point(s, x, p) - wigner_point(s, x, p)) <= 1e-13
+
+
+def test_oracle_refuses_fock_1000():
+    # past the range, the direct integral does not settle in 4096 nodes
+    with pytest.raises(QuadratureNotConverged, match="between 2048 and 4096 nodes"):
+        wigner_oracle_point(fock(1000, 1001), 0.3, -0.2)
 
 
 def test_wigner_is_real_in_direct_integral(rng):
@@ -215,6 +229,50 @@ def test_wln_nonnegative_up_to_slack(rng):
         assert wigner_log_negativity_detailed(s).value >= -1e-6
 
 
+def _polar_reference_wln(s, panels, angular=2048):
+    """ln of the integral of |W| over the disk of radius _disk_radius(s) for
+    real amplitudes, by order-8 Gauss-Legendre on `panels` equal radial
+    panels and the trapezoid rule on `angular` nodes around the circle.
+
+    W(r, t) = sum_a g_a(r) cos(at) for a < d, so W from _wigner_array at d
+    angles per radius fixes its modes g_a, and W at the fine angles is one
+    matrix product per block of radii.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    d, radius = len(s.amplitudes), _disk_radius(s)
+    x, w = leggauss(8)
+    r = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)).ravel() * (radius / panels)
+    wr = np.tile(w * (0.5 * radius / panels), panels) * r
+    tm = math.pi * (np.arange(d) + 0.5) / d
+    samples = _wigner_array(s.amplitudes, r[:, None] * np.cos(tm), r[:, None] * np.sin(tm))
+    modes = np.linalg.solve(np.cos(np.outer(tm, np.arange(d))), samples.T)
+    t = 2.0 * math.pi * np.arange(angular // 2 + 1) / angular
+    wt = np.full(len(t), 4.0 * math.pi / angular)  # t and -t together
+    wt[[0, -1]] *= 0.5
+    cos_at = np.cos(np.outer(np.arange(d), t))
+    total = sum(wr[i : i + 1024] @ np.abs(modes[:, i : i + 1024].T @ cos_at) @ wt
+                for i in range(0, len(r), 1024))
+    return math.log(total)
+
+
+@pytest.mark.parametrize("M, eta, k", [(2, 0.95, 0), (10, 0.95, 1), (3, 0.5, 3)])
+def test_wln_honours_tight_tolerances(M, eta, k):
+    # the tolerance bounds the error, not only the estimate, on states whose
+    # nodal rings make the radial integrand singular between panel edges
+    s = pahs(HypergeometricParams(pinned_L(M, eta), M, eta, k))
+    assert not np.any(s.amplitudes.imag)
+    want = _polar_reference_wln(s, 2048)
+    assert abs(_polar_reference_wln(s, 4096) - want) <= 1e-8
+    for tolerance in (1e-6, 1e-7):
+        try:
+            got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=tolerance))
+        except QuadratureNotConverged:
+            continue
+        assert got.refinement_delta <= tolerance
+        assert abs(got.value - want) <= tolerance
+
+
 def test_wln_convergence_guard():
     s = pahs(HypergeometricParams(40.0, 4, 0.3, 1))
     with pytest.raises(QuadratureNotConverged):
@@ -239,15 +297,26 @@ def test_wln_rejects_non_finite_result(monkeypatch):
         wigner_log_negativity_detailed(fock(1, 2))
 
 
-def test_wln_rejects_a_nan_on_the_last_pass(monkeypatch):
-    # the first two passes differ by more than the tolerance; the third,
-    # the last allowed, is NaN and must not end as "moved by nan"
-    passes = iter([(1.5, 1.0), (1.6, 1.0), (math.nan, 1.0)])
-    monkeypatch.setattr(wigner, "_phase_space_integrals", lambda *args: next(passes))
-    with pytest.raises(
-        QuadratureNotConverged, match="log-negativity is nan at 2048 x 1024 nodes"
-    ):
-        wigner_log_negativity_detailed(fock(1, 2))
+# refines its first sub-panels at tolerance 1e-5, though not at the default
+_REFINES = pahs(HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2))
+
+
+def test_wln_rejects_a_nan_sub_panel_of_a_refinement_batch(monkeypatch):
+    # the first evaluation is finite and fails the tolerance; one sub-panel
+    # of the next batch is NaN and must end the call, not be refined away
+    batches = []
+
+    def nan_in_second_batch(weights, lo, hi, angular):
+        batches.append(len(lo))
+        parts = _phase_space_integrals(weights, lo, hi, angular)
+        if len(batches) == 2:
+            parts[0][-1] = math.nan
+        return parts
+
+    monkeypatch.setattr(wigner, "_phase_space_integrals", nan_in_second_batch)
+    with pytest.raises(QuadratureNotConverged, match="log-negativity is nan at"):
+        wigner_log_negativity_detailed(_REFINES, QuadratureSpec(wln_tolerance=1e-5))
+    assert len(batches) == 2
 
 
 def test_wln_rejects_non_finite_edge_profile_before_any_pass(monkeypatch):
@@ -267,18 +336,20 @@ def _separable_form_states(rng):
 
 
 def _full_circle_sums(amps, r, angular):
-    """Midpoint-rule integrals of |W| and W around each circle, from W at
+    """Trapezoid-rule integrals of |W| and W around each circle, from W at
     every node of the full circle."""
-    theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
+    theta = 2.0 * math.pi * np.arange(angular) / angular
     values = _wigner_array(amps, r[:, None] * np.cos(theta), r[:, None] * np.sin(theta))
     step = 2.0 * math.pi / angular
     return step * np.abs(values).sum(axis=1), step * values.sum(axis=1)
 
 
 def _assert_half_circle_sums(amps, r, angular):
-    abs_sums, sums = _angular_integrals(_pair_weights(amps), r, angular)
+    abs_sums, coarse_sums, sums = _angular_integrals(_pair_weights(amps), r, angular)
     ref_abs, ref = _full_circle_sums(amps, r, angular)
+    ref_coarse, _ = _full_circle_sums(amps, r, angular // 2)
     assert np.all(np.abs(abs_sums - ref_abs) <= 1e-13 * ref_abs)
+    assert np.all(np.abs(coarse_sums - ref_coarse) <= 1e-13 * ref_abs)
     assert np.all(np.abs(sums - ref) <= 1e-13 * ref_abs)
 
 
@@ -292,7 +363,7 @@ def test_polar_form_matches_cartesian_on_quadrature_nodes(rng, monkeypatch):
     monkeypatch.setattr(wigner, "_angular_integrals", spy)
     for s in _separable_form_states(rng):
         edges = _radial_panel_edges(s.amplitudes, _disk_radius(s))
-        _phase_space_integrals(_pair_weights(s.amplitudes), edges, 128, 64)
+        _phase_space_integrals(_pair_weights(s.amplitudes), *_initial_sub_panels(edges), 64)
         r, angular = seen.pop()
         assert angular == 64
         _assert_half_circle_sums(s.amplitudes, r, angular)
@@ -305,7 +376,7 @@ def test_half_circle_sums_match_full_circle(rng):
     for s in real + complex_:
         r = np.linspace(0.0, _disk_radius(s), 97)[1:]
         assert (_pair_weights(s.amplitudes).dtype == np.float64) == (s in real)
-        for angular in (64, 33):
+        for angular in (64, 256):
             _assert_half_circle_sums(s.amplitudes, r, angular)
 
 
@@ -377,45 +448,50 @@ def test_panel_edges_skip_round_off_sign_changes():
 
 
 def test_panel_edges_computed_once_per_wln_call(monkeypatch):
-    edge_calls, pass_nodes, pass_weights = [], [], []
+    edge_calls, batches, batch_weights = [], [], []
 
     def edges_spy(amps, radius):
         edge_calls.append(radius)
         return _radial_panel_edges(amps, radius)
 
-    def integrals_spy(weights, edges, nodes, angular):
-        pass_nodes.append((nodes, angular))
-        pass_weights.append(weights)
-        return _phase_space_integrals(weights, edges, nodes, angular)
+    def integrals_spy(weights, lo, hi, angular):
+        batches.append((len(lo), angular))
+        batch_weights.append(weights)
+        return _phase_space_integrals(weights, lo, hi, angular)
 
     monkeypatch.setattr(wigner, "_radial_panel_edges", edges_spy)
     monkeypatch.setattr(wigner, "_phase_space_integrals", integrals_spy)
-    # the second state needs both node doublings at tolerance 1e-5 (see test_cli)
-    doubles_twice = pahs(
-        HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2)
-    )
-    for s, quad, passes in (
-        (fock(1, 2), QuadratureSpec(), [(512, 256), (1024, 512)]),
-        (doubles_twice, QuadratureSpec(wln_tolerance=1e-5),
-         [(512, 256), (1024, 512), (2048, 1024)]),
+    for s, quad, refines in (
+        (fock(1, 2), QuadratureSpec(), False),
+        (_REFINES, QuadratureSpec(wln_tolerance=1e-5), True),
     ):
         edge_calls.clear()
-        pass_nodes.clear()
-        pass_weights.clear()
-        wigner_log_negativity_detailed(s, quad)
-        assert pass_nodes == passes
+        batches.clear()
+        batch_weights.clear()
+        got = wigner_log_negativity_detailed(s, quad)
         assert edge_calls == [_disk_radius(s)]
-        # one real weight matrix per state, shared by every pass
-        assert all(w is pass_weights[0] for w in pass_weights)
-        assert pass_weights[0].dtype == np.float64
+        first = len(_initial_sub_panels(_radial_panel_edges(s.amplitudes, _disk_radius(s)))[0])
+        # the first batch is every initial sub-panel; later ones are halves
+        # of split sub-panels, two per split
+        assert batches[0] == (first, 256)
+        assert (len(batches) > 1) == refines
+        assert all(n % 2 == 0 and angular == 256 for n, angular in batches[1:])
+        assert got.nodes == 15 * sum(n for n, _ in batches)
+        assert got.angular_nodes == 256
+        assert got.refinement_delta <= quad.wln_tolerance
+        # one real weight matrix per state, shared by every batch
+        assert all(w is batch_weights[0] for w in batch_weights)
+        assert batch_weights[0].dtype == np.float64
 
 
 def test_phase_space_integrals_unit_mass(rng):
     for dim in (1, 4, 9):
         s = random_state(rng, dim)
         edges = _radial_panel_edges(s.amplitudes, _disk_radius(s))
-        _, total = _phase_space_integrals(_pair_weights(s.amplitudes), edges, 256, 128)
-        assert abs(total - 1.0) < 1e-9
+        *_, signed = _phase_space_integrals(
+            _pair_weights(s.amplitudes), *_initial_sub_panels(edges), 128
+        )
+        assert abs(signed.sum() - 1.0) < 1e-9
 
 
 def test_composite_rule_exact_to_degree_31():
@@ -435,16 +511,35 @@ def test_composite_rule_exact_to_degree_31():
             assert math.isclose(w @ x**j, exact, rel_tol=1e-12)
 
 
+def test_gauss_kronrod_rule_exact_to_degrees_22_and_13():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, (kronrod, gauss) = wigner._GK_NODES, wigner._GK_WEIGHTS.T
+    assert len(nodes) == 15 and np.all(np.diff(nodes) > 0.0)
+    gauss_nodes, gauss_weights = leggauss(7)
+    assert np.allclose(nodes[1::2], gauss_nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(gauss[1::2], gauss_weights, rtol=0.0, atol=1e-15)
+    assert np.all(gauss[::2] == 0.0)
+    for j in range(24):
+        exact = (1.0 - (-1.0) ** (j + 1)) / (j + 1)
+        assert math.isclose(kronrod @ nodes**j, exact, rel_tol=1e-14, abs_tol=1e-15)
+        if j < 14:
+            assert math.isclose(gauss @ nodes**j, exact, rel_tol=1e-14, abs_tol=1e-15)
+    # one degree past each rule, neither is exact
+    assert not math.isclose(kronrod @ nodes**24, 2.0 / 25.0, rel_tol=1e-10)
+    assert not math.isclose(gauss @ nodes**14, 2.0 / 15.0, rel_tol=1e-10)
+
+
 def test_no_gauss_legendre_rule_built_at_run_time(monkeypatch):
     def refuse(*args):
         raise AssertionError("a quadrature rule was built at run time")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)  # the solver of numpy's leggauss
-    s = pahs(HypergeometricParams(pinned_L(12, 0.928008, 10.0), 12, 0.928008, 2))
-    # doubles twice at tolerance 1e-5 (see test_cli)
-    got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=1e-5))
-    assert got.nodes == 2048
-    assert abs(wigner_oracle_point(s, 1.0, -0.5) - wigner_point(s, 1.0, -0.5)) < 1e-7
+    # a refining log-negativity and an oracle point use tabulated rules only
+    got = wigner_log_negativity_detailed(_REFINES, QuadratureSpec(wln_tolerance=1e-5))
+    assert got.refinement_delta <= 1e-5
+    oracle = wigner_oracle_point(_REFINES, 1.0, -0.5)
+    assert abs(oracle - wigner_point(_REFINES, 1.0, -0.5)) < 1e-7
 
 
 # A one-offset normalised Laguerre recurrence, kept here as the reference the
