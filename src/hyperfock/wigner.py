@@ -18,7 +18,8 @@ e^{-iat} on any set of radii. Grids and points take a Horner sum in e^{-it}
 per point; the log-negativity quadrature takes real products with cos(at)
 and sin(at) on half the circle, since W at t and -t share them (for the
 real amplitudes of every state family the sin part vanishes). The a = 0
-mode alone is the radial profile that places the quadrature's panel edges.
+mode alone is the radial profile whose zeros are the quadrature's panel
+edges; one two-row block of the same kernel gives its slope.
 
 Units are dimensionless oscillator quadratures (hbar = 1), in which the
 vacuum Wigner function peaks at 1/pi.
@@ -495,58 +496,113 @@ class WlnResult(NamedTuple):
     wigner_integral: float
 
 
+# radii of the probe whose sign changes bracket the panel edges
+_PROBE_POINTS = 4097
+
+
 def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     """Radial panel boundaries for the disk quadrature: the zeros of the
-    angular-mean Wigner profile, each narrowed to a bracket of at most
-    4 eps * radius.
+    angular-mean Wigner profile inside the disk, to round-off.
 
     Up to the factor 1/pi that profile is the a = 0 mode,
-    g(r) = sum_n p_n (-1)^n L~_n(2 r^2): the off-diagonal modes integrate to
-    zero around the circle. For radially symmetric states its zeros are
-    exactly the kink circles of |W|, so panelized quadrature sees only
-    smooth integrands; for other states they still track the near-circular
-    ring structure. A profile with a non-finite value on the probe is
-    rejected before any quadrature pass runs.
+    g(r) = sum_n w_n L~_n(2 r^2), w_n = p_n (-1)^n: the off-diagonal modes
+    integrate to zero around the circle. For radially symmetric states its
+    zeros are exactly the kink circles of |W|, so panelized quadrature sees
+    only smooth integrands; for other states they still track the
+    near-circular ring structure. A profile with a non-finite value on the
+    probe is rejected before any quadrature pass runs.
 
-    Each sign change on a fine probe is a bracket, unless g lies below its
-    round-off floor at both ends: each of the d terms is at most |w_n| (as
-    |L~_n| <= 1), so sign changes within d * eps * sum |w_n| of zero are
-    noise, and |W| has no kink there worth a panel. The brackets are
-    narrowed together by regula falsi with the Illinois step (Dowell &
-    Jarratt, BIT 11, 168 (1971)): an end kept twice in a row has its value
-    halved, so both ends close in superlinearly.
+    Probe: g on _PROBE_POINTS equally spaced radii. Each sign change is a
+    bracket, unless g lies below its round-off floor at both ends: each of
+    the d terms is at most |w_n| (as |L~_n| <= 1), so sign changes within
+    floor = d * eps * sum |w_n| of zero are noise, and |W| has no kink
+    there worth a panel.
+
+    Start: each root starts at the root of the cubic through the four probe
+    values around its bracket, which costs no kernel call.
+
+    Newton: all brackets are polished together. Each step takes g and its
+    slope from one _laguerre_sums call on a two-row block, offsets 0 and 1:
+    d/dz L_n = -L_{n-1}^(1) (DLMF 18.9) gives
+    dg/dz = -g/2 - z^{-1/2} sum_n w_{n+1} sqrt(n + 1) L~_n^1(z), that is
+    dg/dr = -2 r g - 2 sqrt(2) sum_n w_{n+1} sqrt(n + 1) L~_n^1(2 r^2).
+    Every evaluation narrows the sign bracket, and a step that would leave
+    it, or that is not half the one before last, bisects it instead (the
+    safeguard of rtsafe, Press et al., Numerical Recipes, sec. 9.4), so the
+    bracket shrinks to nothing even where Newton would not converge.
+
+    Stop: a bracket is done when g is exactly 0, when its sign bracket is
+    at most 4 eps * radius wide, or when the predicted error of the Newton
+    step, |g''/(2 g')| step^2 with g'' from the cubic, is below
+    max(4 eps * radius, floor / |g'|), floor / |g'| being the profile's own
+    round-off in r. Edges need no more than that: an edge that misses a
+    kink by delta costs O(delta^2) in the integral of |W|.
     """
-    w = (np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(len(amps)) % 2)))[None]
+    d = len(amps)
+    w = np.abs(amps) ** 2 * (1.0 - 2.0 * (np.arange(d) % 2))
+    # row 1: the weights w_{n+1} sqrt(n + 1) of the slope's offset-1 sum
+    rows = np.zeros((2, d))
+    rows[0] = w
+    rows[1, :-1] = w[1:] * np.sqrt(np.arange(1.0, d))
 
-    def profile(r):
-        z = 2.0 * r * r
-        return _laguerre_sums(w, 0, z, *_start(z))[0]
-
-    probe = np.linspace(0.0, radius, 4097)
-    g = profile(probe)
+    probe = np.linspace(0.0, radius, _PROBE_POINTS)
+    z = 2.0 * probe * probe
+    g = _laguerre_sums(rows[:1], 0, z, *_start(z))[0]
     if not np.isfinite(g).all():
         raise QuadratureNotConverged("the mean Wigner profile is not finite")
-    floor = w.size * np.finfo(float).eps * np.abs(w).sum()
+    floor = d * np.finfo(float).eps * np.abs(w).sum()
     loud = np.abs(g) > floor
     idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (loud[:-1] | loud[1:]))
-    lo, hi, glo, ghi = probe[idx], probe[idx + 1], g[idx], g[idx + 1]
-    kept = np.zeros(len(idx))  # +1: the last step kept hi, -1: it kept lo
+
+    # the cubic c0 + c1 t + c2 t^2 + c3 t^3 through g at the probe points
+    # base .. base + 3, in t = (r - r_base) / h (the matrix maps values at
+    # t = 0..3 to coefficients), and its root in the bracket [t_lo, t_lo + 1]
+    # by Newton from the secant point; fmax and fmin keep every step in the
+    # bracket and send a NaN step to t_lo
+    h = probe[1]
+    base = np.clip(idx - 1, 0, _PROBE_POINTS - 4)
+    fit = np.array([[6, 0, 0, 0], [-11, 18, -9, 2], [6, -15, 12, -3], [-1, 3, -3, 1]]) / 6.0
+    c0, c1, c2, c3 = fit @ g[base + np.arange(4)[:, None]]
+    t_lo, glo = (idx - base).astype(float), g[idx]
+    t, t_hi, c2_2, c3_3 = t_lo + glo / (glo - g[idx + 1]), t_lo + 1.0, 2.0 * c2, 3.0 * c3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            t -= (c0 + t * (c1 + t * (c2 + t * c3))) / (c1 + t * (c2_2 + t * c3_3))
+            t = np.fmin(np.fmax(t, t_lo), t_hi)
+    bend = np.abs(c2 + 3.0 * c3 * t) / (h * h)  # |g''| / 2 in r
+
     tol = 4.0 * np.finfo(float).eps * radius
-    for _ in range(60):
-        if np.all(hi - lo <= tol):
+    lo, hi = probe[idx], probe[idx + 1]
+    x = probe[base] + h * t
+    last = older = np.full(len(idx), h)  # the last two step lengths
+    edges = np.empty(len(idx))
+    todo = np.arange(len(idx))
+    while todo.size:
+        z = 2.0 * x * x
+        start, shift = _start(z)
+        sums = _laguerre_sums(rows, 0, z, np.stack([start, start * np.sqrt(z)]), shift)
+        gx = sums[0]
+        slope = -2.0 * x * gx - 2.0 * math.sqrt(2.0) * sums[1]
+        left = (gx < 0) == (glo < 0)  # x lies on lo's side of the zero
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -gx / slope
+            settled = bend * step * step < np.maximum(tol * np.abs(slope), floor)
+        new = x + step
+        zero, narrow = gx == 0.0, hi - lo <= tol
+        # final for the brackets that are done, written over for the rest
+        edges[todo] = np.where(zero, x, np.where(narrow, mid, np.minimum(np.maximum(new, lo), hi)))
+        keep = ~(zero | narrow | settled)
+        if not keep.any():
             break
-        x = lo - glo * (hi - lo) / (ghi - glo)
-        gx = profile(x)
-        right = (gx < 0) == (glo < 0)  # the zero lies in [x, hi]
-        zero = gx == 0.0  # collapses its bracket onto x, which then stays
-        ghi = np.where(right & (kept > 0), 0.5 * ghi, ghi)
-        glo = np.where(~right & (kept < 0), 0.5 * glo, glo)
-        lo, glo = np.where(right | zero, x, lo), np.where(right, gx, glo)
-        hi, ghi = np.where(right & ~zero, hi, x), np.where(right, ghi, gx)
-        kept = np.where(right, 1.0, -1.0)
-    roots = 0.5 * (lo + hi)
-    roots = roots[(roots > 1e-6) & (roots < radius - 1e-6)]
-    return np.concatenate([[0.0], roots, [radius]])
+        take = (new > lo) & (new < hi) & (np.abs(step) <= 0.5 * older)
+        older, last = last, np.where(take, np.abs(step), 0.5 * (hi - lo))
+        x = np.where(take, new, mid)
+        todo, x, lo, hi, glo = todo[keep], x[keep], lo[keep], hi[keep], glo[keep]
+        bend, last, older = bend[keep], last[keep], older[keep]
+    edges = edges[(edges > 1e-6) & (edges < radius - 1e-6)]
+    return np.concatenate([[0.0], edges, [radius]])
 
 
 def _angular_integrals(weights: np.ndarray, r: np.ndarray, angular: int):

@@ -14,6 +14,7 @@ from numpy.polynomial.hermite import hermval
 
 from hyperfock import (
     HypergeometricParams,
+    QuadratureSpec,
     anticlassicality,
     beamsplitter_with_vacuum,
     binomial,
@@ -477,11 +478,18 @@ def test_criterion_6_runtime_budget():
 # ------------------------------------------------------------- criterion 7
 
 
-def test_criterion_7_wln_node_doubling_stability():
+def test_criterion_7_wln_error_within_default_tolerance():
+    """The default-tolerance WLN of every criterion-6a state lies within
+    1e-4 of the same WLN refined to wln_tolerance = 1e-7."""
     details = _wln_6a_states()
-    worst = max(d.refinement_delta for d in details.values())
+    tight = QuadratureSpec(wln_tolerance=1e-7)
+    refined = {
+        key: wigner_log_negativity_detailed(_pahs_state(M, 0.9, k, 10.0), tight).value
+        for key, (M, k) in _6A_POINTS.items()
+    }
+    worst = max(abs(details[key].value - refined[key]) for key in _6A_POINTS)
     _report(
-        "7 wln node-doubling stability",
+        "7 wln error within the default tolerance",
         worst < 1e-4,
-        f"worst refinement delta = {worst:.3e}",
+        f"worst |WLN(1e-4) - WLN(1e-7)| = {worst:.3e}",
     )

@@ -423,15 +423,102 @@ def test_panel_edge_step_onto_an_exact_zero_stops_its_bracket(monkeypatch):
     calls = []
 
     def profile(w, a, z, start, shift):  # one zero, at r = 1, exactly 0.0 within 1e-6 of it
-        assert w.shape[0] == 1 and a == 0  # the a = 0 mode alone
-        calls.append(len(z))
+        assert a == 0 and w.shape[0] in (1, 2)  # the a = 0 mode, with its slope row
+        calls.append((w.shape[0], len(z)))
         r = np.sqrt(0.5 * z)
-        return np.where(np.abs(r - 1.0) < 1e-6, 0.0, r - 1.0)[None]
+        g = np.where(np.abs(r - 1.0) < 1e-6, 0.0, r - 1.0)
+        # the offset-1 row that makes dg/dr = -2 r g - 2 sqrt(2) row = 1
+        slope_row = -(1.0 + 2.0 * r * g) / (2.0 * math.sqrt(2.0))
+        return np.stack([g, slope_row])[: w.shape[0]]
 
     monkeypatch.setattr(wigner, "_laguerre_sums", profile)
     edges = _radial_panel_edges(fock(1, 2).amplitudes, 3.0)
     assert len(edges) == 3 and abs(edges[1] - 1.0) < 1e-6
-    assert calls == [4097, 1]  # the probe, then one step that lands on the zero
+    # the probe on one row, then at most two steps on value and slope
+    assert calls[0] == (1, 4097)
+    assert 1 <= len(calls) - 1 <= 2 and all(c == (2, 1) for c in calls[1:])
+
+
+def test_panel_edge_polish_bisects_where_newton_has_no_slope(monkeypatch):
+    calls = []
+
+    def profile(w, a, z, start, shift):  # g = e^r - e, with dg/dr = 0 reported
+        calls.append(len(z))
+        r = np.sqrt(0.5 * z)
+        g = np.exp(r) - math.e
+        return np.stack([g, -r * g / math.sqrt(2.0)])[: w.shape[0]]
+
+    monkeypatch.setattr(wigner, "_laguerre_sums", profile)
+    edges = _radial_panel_edges(fock(1, 2).amplitudes, 3.0)
+    # every step bisects, down to the 4 eps R bracket
+    assert len(edges) == 3 and abs(edges[1] - 1.0) <= 4.0 * np.finfo(float).eps * 3.0
+    assert 30 <= len(calls) - 1 <= 45
+
+
+def _benchmark_range_states():
+    """One pahs state per M stratum and k of the benchmark's WLN points
+    (M 2-16, k 0-3, eta and the L coefficient varied), and coherent states
+    at the automatic dimensions 12, 16 and 20."""
+    states = []
+    for i, strata in enumerate(((6, 9), (13, 16), (2, 5), (10, 12))):
+        for k, eta in enumerate((0.05, 0.35, 0.65, 0.95)):
+            M, coeff = strata[k % 2], (2.0, 10.0)[(i + k) % 2]
+            states.append(pahs(HypergeometricParams(pinned_L(M, eta, coeff), M, eta, k)))
+    return states + [coherent_truncated(a, d) for a, d in ((0.6, 12), (1.0, 16), (1.45, 20))]
+
+
+def test_panel_edges_take_one_probe_and_at_most_two_polish_calls(monkeypatch):
+    calls = []
+
+    def spy(w, a, z, start, shift):
+        calls.append((w.shape[0], len(z)))
+        return _laguerre_sums(w, a, z, start, shift)
+
+    monkeypatch.setattr(wigner, "_laguerre_sums", spy)
+    brackets = 0
+    for s in _benchmark_range_states():
+        calls.clear()
+        brackets += len(_radial_panel_edges(s.amplitudes, _disk_radius(s))) - 2
+        assert calls[0] == (1, 4097)
+        assert len(calls) <= 3 and all(rows == 2 for rows, _ in calls[1:])
+    assert brackets > 50
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_high_fock_panel_edges_match_laguerre_roots(n):
+    from scipy.special import roots_laguerre
+
+    radius = _disk_radius(fock(n, n + 1))
+    edges = _radial_panel_edges(fock(n, n + 1).amplitudes, radius)[1:-1]
+    with np.errstate(over="ignore"):  # in the quadrature weights, not the roots
+        want = np.sqrt(0.5 * roots_laguerre(n)[0])
+    assert len(edges) == n
+    assert np.max(np.abs(edges - want)) <= 1e-14 * radius
+
+
+def test_panel_edges_on_the_scaled_start_branch():
+    # d = 504: e^{-z/2} falls below 2^-1000 beyond r = 26.3, where 24 of the
+    # 26 zeros of the mean profile lie; each edge must still be a sign change
+    # of the profile summed in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    s = pahs(HypergeometricParams(pinned_L(500, 0.9, 2.0), 500, 0.9, 3))
+    radius = _disk_radius(s)
+    edges = _radial_panel_edges(s.amplitudes, radius)[1:-1]
+    assert len(edges) == 26
+    assert wigner._start(2.0 * edges**2)[1] is not None
+    probs = np.abs(s.amplitudes) ** 2
+
+    def profile(r):  # sum_n p_n (-1)^n e^{-z/2} L_n(z) by the plain recurrence
+        z = 2 * mpmath.mpf(float(r)) ** 2
+        l_prev, l_curr, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(float(probs[0]))
+        for n in range(1, len(probs)):
+            l_prev, l_curr = l_curr, ((2 * n - 1 - z) * l_curr - (n - 1) * l_prev) / n
+            total += (-1) ** n * mpmath.mpf(float(probs[n])) * l_curr
+        return total * mpmath.exp(-z / 2)
+
+    step = 1e-9 * radius
+    with mpmath.workdps(40):
+        assert all(profile(e - step) * profile(e + step) < 0 for e in edges)
 
 
 def test_panel_edges_skip_round_off_sign_changes():
