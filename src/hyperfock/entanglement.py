@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .fockspace import FockState
+from .special import log_factorials, logsumexp
 from .states import HypergeometricParams, _log_pnd_hypergeometric, pahs_norm_constant
 
 _LN2 = math.log(2.0)
@@ -56,7 +56,7 @@ def beamsplitter_with_vacuum(state: FockState) -> TwoModeState:
     keep = j + l < d  # the pairs (j, l = n - j) of every level n
     j, l = j[keep], l[keep]
     n = j + l
-    log_fact = gammaln(np.arange(d) + 1.0)
+    log_fact = log_factorials(d)
     log_coeff = 0.5 * (log_fact[n] - log_fact[j] - log_fact[l] - n * _LN2)
     out = np.zeros((d, d), dtype=complex)
     out[j, l] += state.amplitudes[n] * _I_POW[l % 4] * np.exp(log_coeff)
@@ -90,36 +90,33 @@ def purity_closed_form_pahs(p: HypergeometricParams) -> float:
             / (k1! (n+k-k1)! (m+k-k1)! (r-m+k1)!),
 
     with s = n - m + r, a_i = (i+k)! sqrt(p_i / i!) over the bare
-    distribution p_i, and N the photon-added normalization. Every factor
-    is combined in log space, where -inf marks an exactly zero term: a
-    vanishing p_i, s outside [0, M], or a factorial of a negative integer
-    (log-gamma is +inf at its poles). One pass per n covers the whole
-    (m, r, k1) block, so the cost is O(M^4) time and O(M^3) memory. The
-    sum shares p_i and N with the state constructors, which tests certify
-    on their own, and nothing with the dense splitter path it checks.
+    distribution p_i, and N the photon-added normalization. With t = r - m,
+    so that s = n + t, the sums over n and m factorise:
 
-    Range: the block holds (M+1)^2 (M+k+1) float64 log weights, and a
-    temporary of the same size is made while it is built, about 8 GB each
-    at M = 1000. This oracle therefore serves far smaller M than the CLI's
-    1001 Fock levels; the CLI's concurrence takes the dense path.
+        N^4 4^-k sum_{k1=0}^{M+k} sum_{t=-M}^{M} 2^-t F[k1,t]^2 / (k1! (k1+t)!),
+        F[k1,t] = sum_n a_n a_{n+t} 2^-n / (n+k-k1)!.
+
+    Every factor is combined in log space, where -inf marks an exactly zero
+    term: a vanishing p_i, n + t outside [0, M], or a factorial of a
+    negative integer (the log-factorial table reads +inf there). F is one
+    reduction over n of a (M+k+1) x (2M+1) x (M+1) block of log terms, so
+    the cost is O(M^3) time and memory: the block and one temporary of the
+    same size, about 17 MB each at M = 100 and 16 GB at M = 1000. This
+    oracle therefore serves far smaller M than the CLI's 1001 Fock levels;
+    the CLI's concurrence takes the dense path. The sum shares p_i and N
+    with the state constructors, which tests certify on their own, and
+    nothing with the dense splitter path it checks.
     """
     M, k = p.M, p.k
-    i = np.arange(M + 1)
-    log_a = 0.5 * (_log_pnd_hypergeometric(p) - gammaln(i + 1)) + gammaln(i + k + 1)
-    m, r = i[:, None, None], i[None, :, None]
-    k1 = np.arange(M + k + 1)
-    log_block = (
-        log_a[m]
-        + log_a[r]
-        - r * _LN2
-        - gammaln(k1 + 1)
-        - gammaln(m + k - k1 + 1)
-        - gammaln(r - m + k1 + 1)
-    )
-    log_sums = []
-    for n in range(M + 1):
-        s = n - m + r
-        log_s = np.where((s >= 0) & (s <= M), log_a[np.clip(s, 0, M)], -math.inf)
-        log_n = log_a[n] - (n + 2 * k) * _LN2 - gammaln(n + k - k1 + 1)
-        log_sums.append(logsumexp(log_n + log_block + log_s))
-    return float(np.exp(logsumexp(log_sums)) * pahs_norm_constant(p) ** 4)
+    lf = log_factorials(2 * M + k)
+    n = np.arange(M + 1)
+    log_a = 0.5 * (_log_pnd_hypergeometric(p) - lf[: M + 1]) + lf[k : M + k + 1]
+    t = np.arange(-M, M + 1)
+    s = n + t[:, None]
+    log_as = np.where((s >= 0) & (s <= M), log_a[np.clip(s, 0, M)], -math.inf)
+    log_pair = log_a + log_as - n * _LN2  # [t, n]
+    k1 = np.arange(M + k + 1)[:, None]
+    log_inv = -lf[np.maximum(n + k - k1, -1)]  # [k1, n]
+    log_f = logsumexp(log_pair + log_inv[:, None, :], axis=-1)  # [k1, t]
+    log_terms = 2.0 * log_f - t * _LN2 - lf[k1] - lf[np.maximum(k1 + t, -1)]
+    return float(np.exp(logsumexp(log_terms) - 2 * k * _LN2) * pahs_norm_constant(p) ** 4)

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParams, ZeroState
+from .special import log_factorials
 
 _NORM_TOL = 1e-12
 _ZERO_NORM = 1e-300
@@ -65,7 +65,7 @@ def add_photons(state: FockState, k: int) -> FockState:
     """Apply the creation operator k times and renormalize.
 
     The amplitude at n is sent to index n+k with weight sqrt((n+k)!/n!);
-    the weights are evaluated as log-gamma differences so large n+k do not
+    the weights are evaluated as log-factorial differences so large n+k do not
     overflow. Indices below k come out exactly zero.
     """
     if k < 0 or int(k) != k:
@@ -73,10 +73,11 @@ def add_photons(state: FockState, k: int) -> FockState:
     k = int(k)
     if k == 0:
         return state
-    n = np.arange(state.dim)
-    log_w = 0.5 * (gammaln(n + k + 1) - gammaln(n + 1))
+    d = state.dim
+    lf = log_factorials(d + k)
+    log_w = 0.5 * (lf[k : d + k] - lf[:d])
     weights = np.exp(log_w - log_w.max())
-    out = np.zeros(state.dim + k, dtype=complex)
+    out = np.zeros(d + k, dtype=complex)
     out[k:] = state.amplitudes * weights
     return normalize(out)
 

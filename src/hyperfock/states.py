@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, logsumexp
 
 from .errors import (
     IndexOutOfRange,
@@ -26,6 +25,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fockspace import FockState, add_photons, normalize
+from .special import log_factorials, logsumexp
 
 NEGATIVE_INFINITY = float("-inf")
 
@@ -67,8 +67,7 @@ def _log_binomial_prefix(x: float, n_max: int) -> np.ndarray:
             f"C({x}, n<={n_max}) has negative factor {factors[j]} at offset {j}"
         )
     logs = np.cumsum(np.log(factors[:first_zero]))
-    n = np.arange(1, first_zero + 1)
-    out[1 : first_zero + 1] = logs - gammaln(n + 1)
+    out[1 : first_zero + 1] = logs - log_factorials(first_zero)[1 : first_zero + 1]
     # entries past a zero factor stay -inf: the falling factorial contains 0
     return out
 
@@ -161,9 +160,9 @@ def pahs_norm_constant(p: HypergeometricParams) -> float:
 
         N = [ sum_n p_n^{bare} (n+k)!/n! ]^{-1/2}
     """
-    log_pnd = _log_pnd_hypergeometric(p)
-    n = np.arange(p.M + 1)
-    log_terms = log_pnd + gammaln(n + p.k + 1) - gammaln(n + 1)
+    M, k = p.M, p.k
+    lf = log_factorials(M + k)
+    log_terms = _log_pnd_hypergeometric(p) + lf[k : M + k + 1] - lf[: M + 1]
     return float(np.exp(-0.5 * logsumexp(log_terms)))
 
 
@@ -179,10 +178,11 @@ def binomial(M: int, eta: float) -> FockState:
     if eta == 1.0:
         return fock(M, M + 1)
     n = np.arange(M + 1)
+    lf = log_factorials(M)
     log_pnd = (
-        gammaln(M + 1)
-        - gammaln(n + 1)
-        - gammaln(M - n + 1)
+        lf[M]
+        - lf[: M + 1]
+        - lf[M::-1]
         + n * math.log(eta)
         + (M - n) * math.log1p(-eta)
     )
@@ -192,8 +192,23 @@ def binomial(M: int, eta: float) -> FockState:
 
 def coherent_tail_mass(alpha: float, dim: int) -> float:
     """Probability mass of the exact coherent state beyond the truncation,
-    i.e. P(N >= dim) for N ~ Poisson(alpha^2)."""
-    return float(gammainc(dim, alpha * alpha))
+    i.e. P(N >= dim) for N ~ Poisson(alpha^2).
+
+    A direct sum of the Poisson terms from n = dim in log space. More than
+    12 alpha + 60 levels past max(dim, alpha^2), the terms have fallen by a
+    factor below e^-70, so the sum stops there; by the same bound, a dim
+    that many levels below alpha^2 leaves the mass 1 to double precision.
+    """
+    lam = alpha * alpha
+    if math.isnan(lam):
+        return math.nan
+    if lam == 0.0:
+        return float(dim <= 0)
+    if dim < lam - 12.0 * alpha - 60.0:
+        return 1.0
+    lo, hi = max(dim, 0), int(max(dim, lam) + 12.0 * alpha + 60.0)
+    log_terms = np.arange(lo, hi) * math.log(lam) - lam - log_factorials(hi)[lo:hi]
+    return float(np.exp(logsumexp(log_terms)))
 
 
 def coherent_truncated(alpha: float, dim: int) -> FockState:
@@ -215,8 +230,7 @@ def coherent_truncated(alpha: float, dim: int) -> FockState:
         raise TruncationTooSmall(
             f"dim = {dim} drops mass {tail:.3e} for alpha = {alpha}; increase dim"
         )
-    n = np.arange(dim)
-    log_amp = n * math.log(alpha) - 0.5 * gammaln(n + 1)
+    log_amp = np.arange(dim) * math.log(alpha) - 0.5 * log_factorials(dim)[:dim]
     amps = np.exp(log_amp - log_amp.max())
     return normalize(amps)
 

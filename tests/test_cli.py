@@ -527,3 +527,23 @@ def test_flag_values_give_documented_exit_codes(argv):
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert code == 0 or "error:" in err.getvalue()
+
+
+def test_auto_coherent_dim_unchanged_on_an_alpha_grid():
+    # the same rule on scipy's regularized incomplete gamma, which the tail
+    # mass was taken from before it became a log-space Poisson sum
+    from scipy.special import gammainc
+
+    def reference(alpha):
+        d = max(8, int(min(alpha * alpha, cli._MAX_DIM)) + 2)
+        while gammainc(d, alpha * alpha) > 1e-12:
+            d += 4
+        return d
+
+    for alpha in np.arange(0.1, 31.05, 0.1):
+        want = reference(alpha)
+        if want <= cli._MAX_DIM:
+            assert cli._auto_coherent_dim(alpha) == want
+        else:
+            with pytest.raises(errors.InvalidParams, match="no reasonable truncation"):
+                cli._auto_coherent_dim(alpha)

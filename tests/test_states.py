@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from hyperfock import (
     HypergeometricParams,
@@ -260,6 +261,17 @@ def test_coherent_truncation_guard():
         coherent_truncated(3.0, 5)
     assert coherent_tail_mass(3.0, 5) > 1e-8
     assert coherent_tail_mass(1.0, 40) < 1e-12
+
+
+def test_coherent_tail_mass_matches_gammainc():
+    for alpha in np.linspace(0.5, 31.0, 62):
+        for dim in range(1, 1400, 11):
+            want = gammainc(dim, alpha * alpha)
+            if want > 1e-300:
+                assert abs(coherent_tail_mass(alpha, dim) - want) <= 1e-11 * want
+    assert coherent_tail_mass(0.0, 1) == 0.0
+    assert coherent_tail_mass(1e200, 1001) == 1.0
+    assert math.isnan(coherent_tail_mass(math.nan, 5))
 
 
 def test_coherent_rejects_negative_alpha():

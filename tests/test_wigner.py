@@ -498,8 +498,12 @@ def test_high_fock_panel_edges_match_laguerre_roots(n):
 
 def test_panel_edges_on_the_scaled_start_branch():
     # d = 504: e^{-z/2} falls below 2^-1000 beyond r = 26.3, where 24 of the
-    # 26 zeros of the mean profile lie; each edge must still be a sign change
-    # of the profile summed in 40 digits
+    # 26 zeros of the mean profile lie. Each edge must meet the stop rule of
+    # _radial_panel_edges against the profile summed in 40 digits: a zero of
+    # it lies within max(4 eps R, floor / |g'|) of the edge. The innermost
+    # edges sit where |g'| ~ 1e-11, so there the rule allows far more than
+    # round-off; the outer ones hold it to ~1e-11, so edges moved by 1e-6 R
+    # must fail it.
     mpmath = pytest.importorskip("mpmath")
     s = pahs(HypergeometricParams(pinned_L(500, 0.9, 2.0), 500, 0.9, 3))
     radius = _disk_radius(s)
@@ -507,18 +511,28 @@ def test_panel_edges_on_the_scaled_start_branch():
     assert len(edges) == 26
     assert wigner._start(2.0 * edges**2)[1] is not None
     probs = np.abs(s.amplitudes) ** 2
+    eps = np.finfo(float).eps
+    floor = len(probs) * eps * probs.sum()
 
     def profile(r):  # sum_n p_n (-1)^n e^{-z/2} L_n(z) by the plain recurrence
-        z = 2 * mpmath.mpf(float(r)) ** 2
+        z = 2 * mpmath.mpf(r) ** 2
         l_prev, l_curr, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(float(probs[0]))
         for n in range(1, len(probs)):
             l_prev, l_curr = l_curr, ((2 * n - 1 - z) * l_curr - (n - 1) * l_prev) / n
             total += (-1) ** n * mpmath.mpf(float(probs[n])) * l_curr
         return total * mpmath.exp(-z / 2)
 
-    step = 1e-9 * radius
+    def meets_stop_rule(e, tol):
+        e = mpmath.mpf(float(e))
+        return profile(e - tol) * profile(e + tol) < 0
+
     with mpmath.workdps(40):
-        assert all(profile(e - step) * profile(e + step) < 0 for e in edges)
+        tols = [
+            max(4 * eps * radius, floor / abs(float(mpmath.diff(profile, mpmath.mpf(float(e))))))
+            for e in edges
+        ]
+        assert all(meets_stop_rule(e, tol) for e, tol in zip(edges, tols))
+        assert not all(meets_stop_rule(e + 1e-6 * radius, tol) for e, tol in zip(edges, tols))
 
 
 def test_panel_edges_skip_round_off_sign_changes():
