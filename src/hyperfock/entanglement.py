@@ -16,7 +16,7 @@ import numpy as np
 
 from .fockspace import FockState
 from .special import log_factorials, logsumexp
-from .states import HypergeometricParams, _log_pnd_hypergeometric, pahs_norm_constant
+from .states import HypergeometricParams, _log_pnd_hypergeometric, _pahs_norm
 
 _LN2 = math.log(2.0)
 _I_POW = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
@@ -110,7 +110,8 @@ def purity_closed_form_pahs(p: HypergeometricParams) -> float:
     M, k = p.M, p.k
     lf = log_factorials(2 * M + k)
     n = np.arange(M + 1)
-    log_a = 0.5 * (_log_pnd_hypergeometric(p) - lf[: M + 1]) + lf[k : M + k + 1]
+    log_pnd = _log_pnd_hypergeometric(p)
+    log_a = 0.5 * (log_pnd - lf[: M + 1]) + lf[k : M + k + 1]
     t = np.arange(-M, M + 1)
     s = n + t[:, None]
     log_as = np.where((s >= 0) & (s <= M), log_a[np.clip(s, 0, M)], -math.inf)
@@ -119,4 +120,4 @@ def purity_closed_form_pahs(p: HypergeometricParams) -> float:
     log_inv = -lf[np.maximum(n + k - k1, -1)]  # [k1, n]
     log_f = logsumexp(log_pair + log_inv[:, None, :], axis=-1)  # [k1, t]
     log_terms = 2.0 * log_f - t * _LN2 - lf[k1] - lf[np.maximum(k1 + t, -1)]
-    return float(np.exp(logsumexp(log_terms) - 2 * k * _LN2) * pahs_norm_constant(p) ** 4)
+    return float(np.exp(logsumexp(log_terms) - 2 * k * _LN2) * _pahs_norm(log_pnd, k) ** 4)

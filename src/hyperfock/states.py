@@ -160,9 +160,14 @@ def pahs_norm_constant(p: HypergeometricParams) -> float:
 
         N = [ sum_n p_n^{bare} (n+k)!/n! ]^{-1/2}
     """
-    M, k = p.M, p.k
+    return _pahs_norm(_log_pnd_hypergeometric(p), p.k)
+
+
+def _pahs_norm(log_pnd: np.ndarray, k: int) -> float:
+    """N of pahs_norm_constant from the bare log p_n, n = 0..M."""
+    M = len(log_pnd) - 1
     lf = log_factorials(M + k)
-    log_terms = _log_pnd_hypergeometric(p) + lf[k : M + k + 1] - lf[: M + 1]
+    log_terms = log_pnd + lf[k : M + k + 1] - lf[: M + 1]
     return float(np.exp(-0.5 * logsumexp(log_terms)))
 
 

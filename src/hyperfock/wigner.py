@@ -40,13 +40,13 @@ from .fockspace import FockState
 _LN2 = math.log(2.0)
 
 
-# Every quadrature is a composite of one order-16 Gauss-Legendre rule,
-# tabulated here as numpy's leggauss(16) gives it: the positive nodes of
-# [-1, 1] with their weights (the rule is symmetric). Building rules at run
-# time costs more than the Wigner sums they serve (order q takes O(q^3)
-# time and O(q^2) memory), and building even this one at import would add
-# resident memory to every process that imports the module, through its
-# first LAPACK call.
+# The oracle's quadrature (the log-negativity takes the G7/K15 pair below)
+# is a composite of one order-16 Gauss-Legendre rule, tabulated here as
+# numpy's leggauss(16) gives it: the positive nodes of [-1, 1] with their
+# weights (the rule is symmetric). Building rules at run time costs more
+# than the Wigner sums they serve (order q takes O(q^3) time and O(q^2)
+# memory), and building even this one at import would add resident memory
+# to every process that imports the module, through its first LAPACK call.
 _GL_ORDER = 16
 _GL_POSITIVE = (
     (0.09501250983763744, 0.18945061045506864),
@@ -382,7 +382,8 @@ def wigner_grid(
     nx: int = 101,
     n_p: int = 101,
 ) -> WignerGrid:
-    """Evaluate the closed-form Wigner function on a rectangular grid."""
+    """Evaluate the closed-form Wigner function on a rectangular grid;
+    QuadratureNotConverged if any value is not finite."""
     if nx < 2 or n_p < 2:
         raise InvalidParams("grid needs at least 2 nodes per axis")
     if not (x_min < x_max and p_min < p_max):
@@ -391,6 +392,9 @@ def wigner_grid(
     xs = np.linspace(x_min, x_max, nx)
     ps = np.linspace(p_min, p_max, n_p)
     values = _wigner_array(state.amplitudes, xs[:, None], ps[None, :])
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise QuadratureNotConverged(f"{bad} of {values.size} grid values of W are not finite")
     values.setflags(write=False)
     return WignerGrid(
         x_min=float(x_min),
@@ -509,8 +513,7 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     integrate to zero around the circle. For radially symmetric states its
     zeros are exactly the kink circles of |W|, so panelized quadrature sees
     only smooth integrands; for other states they still track the
-    near-circular ring structure. A profile with a non-finite value on the
-    probe is rejected before any quadrature pass runs.
+    near-circular ring structure.
 
     Probe: g on _PROBE_POINTS equally spaced radii. Each sign change is a
     bracket, unless g lies below its round-off floor at both ends: each of
@@ -548,8 +551,6 @@ def _radial_panel_edges(amps: np.ndarray, radius: float) -> np.ndarray:
     probe = np.linspace(0.0, radius, _PROBE_POINTS)
     z = 2.0 * probe * probe
     g = _laguerre_sums(rows[:1], 0, z, *_start(z))[0]
-    if not np.isfinite(g).all():
-        raise QuadratureNotConverged("the mean Wigner profile is not finite")
     floor = d * np.finfo(float).eps * np.abs(w).sum()
     loud = np.abs(g) > floor
     idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & (loud[:-1] | loud[1:]))

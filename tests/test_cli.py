@@ -211,10 +211,10 @@ def test_wigner_grid_command(capsys, tmp_path):
 
 
 def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path, monkeypatch):
-    # a kernel that yields NaN (as an overflow would): the run reports it by
-    # its exit code and error line alone, with no numpy warning on stderr
+    # a kernel that yields NaN: the run reports it by its exit code and
+    # error line alone, with no numpy warning on stderr
     def kernel(w, a, z, start, shift):
-        return np.full((len(w), len(z)), np.inf) - np.inf
+        return np.full((len(w), len(z)), np.nan)
 
     monkeypatch.setattr(wigner, "_laguerre_sums", kernel)
     with warnings.catch_warnings(record=True) as caught:
@@ -229,6 +229,18 @@ def test_wigner_grid_with_non_finite_values_exits_3(capsys, tmp_path, monkeypatc
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "not finite" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_wln_with_non_finite_kernel_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        wigner, "_laguerre_sums", lambda w, a, z, start, shift: np.full((len(w), len(z)), np.nan)
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "measures", "fock", "--n", "3", "--measures", "wln")
+    assert code == 3
+    assert caught == []
+    assert out == "" and err.startswith("error: log-negativity is nan") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -319,15 +319,19 @@ def test_wln_rejects_a_nan_sub_panel_of_a_refinement_batch(monkeypatch):
     assert len(batches) == 2
 
 
-def test_wln_rejects_non_finite_edge_profile_before_any_pass(monkeypatch):
-    passes = []
+def test_wln_rejects_non_finite_edge_profile(monkeypatch):
+    # a NaN profile brackets no edge; the first batch then carries the NaN
     monkeypatch.setattr(
         wigner, "_laguerre_sums", lambda w, a, z, start, shift: np.full((len(w), len(z)), np.nan)
     )
-    monkeypatch.setattr(wigner, "_phase_space_integrals", lambda *args: passes.append(args))
-    with pytest.raises(QuadratureNotConverged, match="profile is not finite"):
+    with pytest.raises(QuadratureNotConverged, match="log-negativity is nan"):
         wigner_log_negativity_detailed(fock(1, 2))
-    assert passes == []
+
+
+def test_wigner_grid_rejects_non_finite_values(monkeypatch):
+    _nan_blocks(monkeypatch)
+    with pytest.raises(QuadratureNotConverged, match="25 of 25 grid values of W are not finite"):
+        wigner_grid(fock(3, 4), nx=5, n_p=5)
 
 
 def _separable_form_states(rng):
