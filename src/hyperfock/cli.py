@@ -17,7 +17,7 @@ import sys
 
 from .errors import InvalidParams, QuadratureNotConverged
 from .fockspace import add_photons, mean_photon_number, photon_number_distribution
-from .measures import ALL_MEASURES, measure_report
+from .measures import ALL_MEASURES, measure_columns, measure_report
 from .states import (
     HypergeometricParams,
     binomial,
@@ -63,10 +63,6 @@ _MAX_DIM = 1001
 _MAX_GRID_NODES = 1001
 
 OUTPUT_DIR_ENV = "HYPERFOCK_OUTPUT_DIR"
-
-# WlnResult fields reported as wln_<field> columns and JSON metadata
-_WLN_DETAIL = ("nodes", "angular_nodes", "refinement_delta")
-_WLN_COLUMNS = [f"wln_{f}" for f in _WLN_DETAIL]
 
 
 def _json_scalar(value):
@@ -168,46 +164,22 @@ def _auto_coherent_dim(alpha: float) -> int:
     return d
 
 
-def _quad_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(wln_tolerance=args.wln_tolerance)
-
-
 def _measure_names(raw: str):
     if raw == "all":
         return ALL_MEASURES
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    bad = [n for n in names if n not in ALL_MEASURES]
-    if bad:
-        raise InvalidParams(
-            f"unknown measures {bad}; choose from {', '.join(ALL_MEASURES)} or 'all'"
-        )
     if not names:
         raise InvalidParams("at least one measure must be requested")
     return names
 
 
-def _measure_columns(names) -> list[str]:
-    cols = set()
-    for n in names:
-        if n == "anticlassicality":
-            cols.update(("anticlassicality", "anticlassicality_with_vacuum"))
-        else:
-            cols.add(n)
-    return sorted(cols)
-
-
 def _measure_cells(cells: dict, family: str, opts: dict, names, quad) -> dict:
     """Build the state, then fill `cells`: first with its resolved params,
-    so a row whose measures fail keeps them, then with the measure columns
-    of `names` and, when they include wln, the _WLN_COLUMNS. Returns the
-    params."""
+    so a row whose measures fail keeps them, then with the measure_report
+    of `names`. Returns the params."""
     state, params = _build_state(family, opts)
     cells.update(params)
-    report = measure_report(state, include=names, quad=quad)
-    cells.update((c, getattr(report, c)) for c in _measure_columns(names))
-    detail = report.wln_detail
-    if detail is not None:
-        cells.update(zip(_WLN_COLUMNS, (getattr(detail, f) for f in _WLN_DETAIL)))
+    cells.update(measure_report(state, include=names, quad=quad))
     return params
 
 
@@ -260,12 +232,12 @@ def cmd_state(args) -> int:
 
 def cmd_measures(args) -> int:
     names = _measure_names(args.measures)
+    columns, diagnostics = measure_columns(names)
+    quad = QuadratureSpec(wln_tolerance=args.wln_tolerance)
     cells = {}
-    params = _measure_cells(cells, args.family, vars(args), names, _quad_from_args(args))
-    columns = _measure_columns(names)
-    wln_cols = _WLN_COLUMNS if "wln" in names else []
+    params = _measure_cells(cells, args.family, vars(args), names, quad)
     if args.format == "csv":
-        header = sorted(params) + columns + wln_cols
+        header = sorted(params) + columns + diagnostics
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerow([_fmt(cells[c]) for c in header])
@@ -274,7 +246,7 @@ def cmd_measures(args) -> int:
             "family": args.family,
             "params": params,
             "measures": {c: _json_scalar(cells[c]) for c in columns},
-            "metadata": {"wln_log_base": "e", **{c: cells[c] for c in wln_cols}},
+            "metadata": {"wln_log_base": "e", **{c: cells[c] for c in diagnostics}},
         }
         print(json.dumps(doc, indent=2))
     return EXIT_OK
@@ -304,17 +276,17 @@ def cmd_sweep(args) -> int:
         )
     values = _parse_values(args.param, args.values)
     names = _measure_names(args.measures)
-    quad = _quad_from_args(args)
-    columns = _measure_columns(names)
-    meta_cols = _WLN_COLUMNS if "wln" in names else []
+    columns, diagnostics = measure_columns(names)
+    quad = QuadratureSpec(wln_tolerance=args.wln_tolerance)
+    measure_cols = columns + diagnostics
     opts = vars(args)
 
     results = [_sweep_row(family, opts, args.param, v, names, quad) for v in values]
 
     # swept value first, then remaining resolved params, then measures
     param_cols = sorted({k for cells, _ in results for k in cells} -
-                        set(columns) - set(meta_cols) - {args.param, "error"})
-    header = [args.param] + param_cols + columns + meta_cols + ["error"]
+                        set(measure_cols) - {args.param, "error"})
+    header = [args.param] + param_cols + measure_cols + ["error"]
     out_path = _resolve_out_path(args.out)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -401,7 +373,8 @@ def _add_state_flags(p: argparse.ArgumentParser):
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
-    p.add_argument("--wln-tolerance", type=_finite_float, default=1e-4,
+    p.add_argument("--wln-tolerance", type=_finite_float,
+                   default=QuadratureSpec.wln_tolerance,
                    help="allowed error estimate of the log-negativity; the nodes "
                         "are refined until it is met, or the command exits 3")
 

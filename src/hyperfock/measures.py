@@ -1,14 +1,18 @@
-"""Scalar nonclassicality quantifiers built on photon statistics.
+"""Scalar nonclassicality quantifiers, and the report of every measure.
 
 The single-photon-source quality mu compares the single-photon weight to
 the multiphoton weight of a pulse; anticlassicality is the largest
 occupation probability, excluding or including the vacuum.
+
+This module owns the report's schema: measure_columns maps measure names
+to their output columns, and measure_report returns a dict keyed by
+exactly those columns, so callers (the CLI's tables and JSON) take their
+headers from measure_columns and add no column rules of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import entanglement, wigner
 from .errors import InvalidParams
@@ -53,53 +57,52 @@ def anticlassicality(state: FockState, include_vacuum: bool = False) -> float:
     return float(p[1:].max())
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Named scalar results for one state. Entries stay None when not
-    requested; wln_detail carries the quadrature diagnostics of the wln
-    value."""
-
-    mu: float | None = None
-    anticlassicality: float | None = None
-    anticlassicality_with_vacuum: float | None = None
-    mean_n: float | None = None
-    concurrence: float | None = None
-    wln: float | None = None
-    wln_detail: wigner.WlnResult | None = None
+# the output columns of each measure, by name: anticlassicality yields the
+# m > 0 and the m >= 0 variant
+_COLUMNS = {"anticlassicality": ("anticlassicality", "anticlassicality_with_vacuum"),
+            "concurrence": ("concurrence",), "mean_n": ("mean_n",), "mu": ("mu",),
+            "wln": ("wln",)}
+ALL_MEASURES = tuple(_COLUMNS)
+# the WlnResult fields that wln also yields, as wln_<field> diagnostics
+_WLN_DIAGNOSTICS = ("nodes", "angular_nodes", "refinement_delta")
 
 
-ALL_MEASURES = ("anticlassicality", "concurrence", "mean_n", "mu", "wln")
+def measure_columns(names) -> tuple[list[str], list[str]]:
+    """The output columns of the measures `names`: the sorted value
+    columns, and the wln_<field> quadrature diagnostics when wln is among
+    them (else none). InvalidParams for a name not in ALL_MEASURES."""
+    names = tuple(names)
+    bad = [n for n in names if n not in _COLUMNS]
+    if bad:
+        raise InvalidParams(f"unknown measures {bad}; choose from {', '.join(ALL_MEASURES)}")
+    values = sorted({c for n in names for c in _COLUMNS[n]})
+    diagnostics = [f"wln_{f}" for f in _WLN_DIAGNOSTICS] if "wln" in names else []
+    return values, diagnostics
 
 
-def measure_report(
-    state: FockState,
-    include=ALL_MEASURES,
-    quad=None,
-) -> MeasureReport:
+def measure_report(state: FockState, include=ALL_MEASURES, quad=None) -> dict:
     """Evaluate the requested quantifiers on one state.
 
-    `include` is an iterable of measure names from ALL_MEASURES;
-    "anticlassicality" yields both the m > 0 and the m >= 0 variants.
-    `quad` is a wigner.QuadratureSpec used when "wln" is requested.
+    `include` is an iterable of measure names from ALL_MEASURES; the result
+    maps exactly the columns that measure_columns(include) gives, value
+    columns then diagnostics, to their values. `quad` is a
+    wigner.QuadratureSpec used when "wln" is requested.
     """
-    include = set(include)
-    unknown = include - set(ALL_MEASURES)
-    if unknown:
-        raise InvalidParams(f"unknown measures: {sorted(unknown)}")
-    fields: dict = {}
-    if "mu" in include:
-        fields["mu"] = sps_quality_mu(state)
+    include = tuple(include)
+    _, diagnostics = measure_columns(include)
+    # filled in column order: the names are sorted as their columns are
+    report = {}
     if "anticlassicality" in include:
-        fields["anticlassicality"] = anticlassicality(state, include_vacuum=False)
-        fields["anticlassicality_with_vacuum"] = anticlassicality(
-            state, include_vacuum=True
-        )
-    if "mean_n" in include:
-        fields["mean_n"] = mean_photon_number(state)
+        report["anticlassicality"] = anticlassicality(state, include_vacuum=False)
+        report["anticlassicality_with_vacuum"] = anticlassicality(state, include_vacuum=True)
     if "concurrence" in include:
-        fields["concurrence"] = entanglement.concurrence_potential(state)
+        report["concurrence"] = entanglement.concurrence_potential(state)
+    if "mean_n" in include:
+        report["mean_n"] = mean_photon_number(state)
+    if "mu" in include:
+        report["mu"] = sps_quality_mu(state)
     if "wln" in include:
         detail = wigner.wigner_log_negativity_detailed(state, quad)
-        fields["wln"] = detail.value
-        fields["wln_detail"] = detail
-    return MeasureReport(**fields)
+        report["wln"] = detail.value
+        report.update(zip(diagnostics, (getattr(detail, f) for f in _WLN_DIAGNOSTICS)))
+    return report

@@ -202,14 +202,15 @@ def coherent_tail_mass(alpha: float, dim: int) -> float:
     A direct sum of the Poisson terms from n = dim in log space. More than
     12 alpha + 60 levels past max(dim, alpha^2), the terms have fallen by a
     factor below e^-70, so the sum stops there; by the same bound, a dim
-    that many levels below alpha^2 leaves the mass 1 to double precision.
+    that many levels below alpha^2 leaves the mass 1 to double precision,
+    as does any dim once alpha^2 overflows.
     """
     lam = alpha * alpha
     if math.isnan(lam):
         return math.nan
     if lam == 0.0:
         return float(dim <= 0)
-    if dim < lam - 12.0 * alpha - 60.0:
+    if math.isinf(lam) or dim < lam - 12.0 * alpha - 60.0:
         return 1.0
     lo, hi = max(dim, 0), int(max(dim, lam) + 12.0 * alpha + 60.0)
     log_terms = np.arange(lo, hi) * math.log(lam) - lam - log_factorials(hi)[lo:hi]

@@ -105,6 +105,14 @@ _WLN_MAX_ANGULAR_NODES = 1 << 14
 _OFFSET_BLOCK = 16
 _NODE_BLOCK = 4096
 
+# Past |x| or |p| = _FAR_FIELD, W underflows to 0 for any state that fits in
+# memory: z = 2 r^2 >= 2e18 there, and as |L_n^a(z)| <= 2^(n+a) z^n for
+# z >= 1, each normalised Laguerre function of a d-level state is below
+# e^{-z/2} (2 z)^d, under 2^-1074 while d < 2e16. Farther points are taken on
+# their ray at that distance, where the kernel gives exactly 0 too: x^2 + p^2
+# overflows from 1.34e154 on, and the start values' int64 shift from r = 2.5e9.
+_FAR_FIELD = 1e9
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -310,6 +318,9 @@ def _wigner_array(amps: np.ndarray, x, p) -> np.ndarray:
     equals the point value at its node bit for bit.
     """
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    far = np.fmax(np.abs(x), np.abs(p))
+    if np.any(far > _FAR_FIELD):  # on the ray at _FAR_FIELD, W is 0 as well
+        x, p = (v * (_FAR_FIELD / np.fmax(far, _FAR_FIELD)) for v in (x, p))
     r2 = x * x + p * p
     r = np.maximum(np.sqrt(r2), np.finfo(float).tiny)  # u = 0 at the origin
     u = np.empty(r2.shape, dtype=complex)

@@ -96,6 +96,16 @@ def test_measures_csv_schema(capsys):
         "anticlassicality", "anticlassicality_with_vacuum", "mean_n", "mu",
     ]
     assert len(rows) == 2
+    # wln is followed by its three diagnostics, in this order
+    code, out, _ = run_cli(
+        capsys,
+        "measures", "fock", "--n", "1", "--measures", "wln,mu", "--format", "csv",
+    )
+    assert code == 0
+    header, row = csv.reader(out.strip().split("\n"))
+    assert header == ["dim", "n", "mu", "wln",
+                      "wln_nodes", "wln_angular_nodes", "wln_refinement_delta"]
+    assert len(row) == len(header)
 
 
 def test_sweep_concurrence_rises_with_k(capsys, tmp_path):
@@ -186,6 +196,21 @@ def test_sweep_rejects_unknown_param(capsys, tmp_path):
     )
     assert code == 2
     assert "not sweepable" in err
+
+
+def test_wigner_window_far_past_the_state(capsys, tmp_path):
+    # W is 0 out there and is reported so, with no overflow on the way
+    out_path = tmp_path / "far.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "wigner", "fock", "--n", "1", "--nx", "21", "--np", "5",
+        "--xmin=-1e200", "--xmax=1e200", "--out", str(out_path),
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out_path.open()))
+    assert len(rows) == 21 * 5
+    assert all(float(r["W"]) == 0.0 for r in rows if float(r["x"]) != 0.0)
+    assert json.loads(out)["w_min"] < 0.0  # the x = 0 column holds the origin
 
 
 def test_wigner_grid_command(capsys, tmp_path):
@@ -448,6 +473,9 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures pahs --M 1000 --eta 0.3 --k 1 --measures mu", "1001 Fock levels"),
         ("measures fock --n 1001 --measures mu", "1001 Fock levels"),
         ("measures coherent --alpha 300", "truncation"),
+        # alpha^2 and 12 alpha overflow
+        ("measures coherent --alpha 1e308", "truncation"),
+        ("measures coherent --alpha 1e308 --dim 4", "increase dim"),
         # the bare hypergeometric state takes no added photons
         ("state hypergeometric --M 4 --eta 0.3 --k 3", "requires k = 0"),
         ("measures hypergeometric --M 4 --eta 0.3 --k 1 --measures mu",
@@ -497,7 +525,8 @@ def test_node_counts_at_their_caps_pass_validation(tmp_path, monkeypatch):
     assert grid["nx"] == grid["n_p"] == 1001
 
 
-_FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200")
+_FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "0.5", "1", "1.5", "1e200",
+                "1e308")
 _FLOAT_FLAGS = ("--L", "--L-coeff", "--eta", "--alpha", "--wln-tolerance")
 _INT_FLAGS = ("--M", "--k", "--dim", "--n")
 _VALID_FLAGS = {
@@ -513,7 +542,7 @@ _VALID_FLAGS = {
 def _measures_argv(draw):
     """A valid measures call with up to three flags overridden (the last
     value of a flag wins) by edge values. Integers stay <= 30 and alpha is
-    at most 1.5 or the rejected 1e200, so no example asks for more than
+    at most 1.5 or the rejected 1e200 and 1e308, so no example asks for more than
     about 60 Fock levels."""
     family = draw(st.sampled_from(FAMILIES))
     argv = ["measures", family, *_VALID_FLAGS[family].split(),

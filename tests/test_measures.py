@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from hyperfock import (
     HypergeometricParams,
+    ALL_MEASURES,
     InvalidParams,
-    MeasureReport,
     anticlassicality,
     coherent_truncated,
     fock,
     hypergeometric,
+    measure_columns,
     measure_report,
     normalize,
     pahs,
@@ -93,25 +95,46 @@ def test_anticlassicality_vacuum_dominated():
 def test_measure_report_fields():
     s = fock(1, 2)
     r = measure_report(s, include=("mu", "anticlassicality", "mean_n"))
-    assert isinstance(r, MeasureReport)
-    assert r.mu == math.inf
-    assert r.anticlassicality == 1.0
-    assert r.anticlassicality_with_vacuum == 1.0
-    assert r.mean_n == 1.0
-    assert r.concurrence is None and r.wln is None
+    assert r == {"anticlassicality": 1.0, "anticlassicality_with_vacuum": 1.0,
+                 "mean_n": 1.0, "mu": math.inf}
 
 
 def test_measure_report_full():
     s = pahs(HypergeometricParams(40.0, 4, 0.3, 1))
     r = measure_report(s)
-    assert 0.0 <= r.anticlassicality <= r.anticlassicality_with_vacuum <= 1.0
-    assert r.mean_n >= 0.0
-    assert r.concurrence > 0.0
-    assert r.wln > 0.0
-    assert r.wln_detail.refinement_delta < 1e-4
-    assert r.wln_detail.nodes > 0 and r.wln_detail.angular_nodes > 0
+    assert 0.0 <= r["anticlassicality"] <= r["anticlassicality_with_vacuum"] <= 1.0
+    assert r["mean_n"] >= 0.0
+    assert r["concurrence"] > 0.0
+    assert r["wln"] > 0.0
+    assert r["wln_refinement_delta"] < 1e-4
+    assert r["wln_nodes"] > 0 and r["wln_angular_nodes"] > 0
 
 
 def test_measure_report_rejects_unknown():
     with pytest.raises(InvalidParams):
         measure_report(fock(0, 1), include=("mu", "sparkle"))
+    with pytest.raises(InvalidParams, match=r"\['sparkle', 'glow'\]"):
+        measure_columns(("sparkle", "mu", "glow"))
+
+
+def test_measure_columns_of_each_measure():
+    assert measure_columns(ALL_MEASURES) == (
+        ["anticlassicality", "anticlassicality_with_vacuum", "concurrence",
+         "mean_n", "mu", "wln"],
+        ["wln_nodes", "wln_angular_nodes", "wln_refinement_delta"],
+    )
+    assert measure_columns(("mu", "mu")) == (["mu"], [])
+    assert measure_columns(iter(("wln",))) == (
+        ["wln"], ["wln_nodes", "wln_angular_nodes", "wln_refinement_delta"])
+
+
+@pytest.mark.parametrize("subset", [
+    names for size in range(1, len(ALL_MEASURES) + 1)
+    for names in itertools.combinations(ALL_MEASURES, size)
+])
+def test_measure_report_keys_are_its_columns(subset):
+    values, diagnostics = measure_columns(subset)
+    report = measure_report(fock(1, 2), subset)
+    assert list(report) == values + diagnostics
+    reverse = measure_report(fock(1, 2), subset[::-1])
+    assert list(reverse) == values + diagnostics

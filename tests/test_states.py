@@ -271,6 +271,8 @@ def test_coherent_tail_mass_matches_gammainc():
                 assert abs(coherent_tail_mass(alpha, dim) - want) <= 1e-11 * want
     assert coherent_tail_mass(0.0, 1) == 0.0
     assert coherent_tail_mass(1e200, 1001) == 1.0
+    # past about 1.5e307, 12 alpha overflows as well as alpha^2
+    assert coherent_tail_mass(1e308, 4) == coherent_tail_mass(1e308, 1001) == 1.0
     assert math.isnan(coherent_tail_mass(math.nan, 5))
 
 

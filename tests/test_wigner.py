@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -121,6 +122,12 @@ def test_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
             assert g.values[i, j] == wigner_point(s, x, p)
+    # a window far past the cut-off, where all but the x = 0 column is 0
+    g = wigner_grid(s, x_min=-1e200, x_max=1e200, p_min=-4, p_max=4, nx=21, n_p=5)
+    for i, x in enumerate(g.x_nodes):
+        for j, p in enumerate(g.p_nodes):
+            assert g.values[i, j] == wigner_point(s, x, p)
+    assert np.count_nonzero(g.values) == np.count_nonzero(g.values[10]) == 5
 
 
 def test_grid_trapezoid_integral_near_one():
@@ -797,6 +804,35 @@ def test_large_coherent_wigner_is_the_displaced_vacuum(alpha, dim):
     got = _wigner_array(s.amplitudes, x[:, None], p[None, :])
     want = np.exp(-((x[:, None] - peak) ** 2) - p[None, :] ** 2) / math.pi
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_far_field_bound():
+    # |L_n^a(z)| <= 2^(n+a) z^n for z >= 1, so |L~_n^a(z)| < e^{-z/2} (2 z)^d
+    # for a state of d > n + a levels; at z = 2 _FAR_FIELD^2 that lies below
+    # the smallest double up to d = 2e16
+    from scipy.special import eval_genlaguerre
+
+    for n, a, z in itertools.product((0, 1, 7, 30), (0, 2, 15), (1.0, 3.5, 40.0, 1e4)):
+        assert abs(eval_genlaguerre(n, a, z)) <= 2.0 ** (n + a) * z ** n
+    z = 2.0 * wigner._FAR_FIELD ** 2
+    assert -0.5 * z + 2e16 * math.log(2.0 * z) < math.log(math.ulp(0.0))
+
+
+@pytest.mark.parametrize("state", [
+    fock(0, 1),
+    pahs(HypergeometricParams(40.0, 4, 0.3, 1)),
+    normalize(np.linspace(1.0, 2.0, 12) * np.exp(0.4j * np.arange(12))),
+    fock(1000, 1001),
+])
+def test_w_is_zero_past_the_far_field(state):
+    # up to the cut-off the closed form itself gives 0; past it no overflow,
+    # cast or NaN may arise (x^2 + p^2 overflows from 1.34e154 on)
+    far = wigner._FAR_FIELD
+    points = [(far, 0.0), (0.7 * far, -0.7 * far), (far * (1 + 1e-15), 0.0),
+              (2.6e9, 1.0), (1.5e154, 0.0), (0.0, -1e200), (1e200, -1e200),
+              (1e308, 0.0), (-1.7976931348623157e308, 1.7976931348623157e308)]
+    for x, p in points:
+        assert wigner_point(state, x, p) == 0.0
 
 
 def _scaled_laguerre(n, t):
