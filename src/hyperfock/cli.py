@@ -44,8 +44,6 @@ _EXIT_CODES = (
 )
 _FAILURES = tuple(cls for cls, _ in _EXIT_CODES)
 
-FAMILIES = ("pahs", "hypergeometric", "binomial", "coherent", "fock")
-
 # which parameters may be swept, per family
 SWEEPABLE = {
     "pahs": ("L", "M", "eta", "k"),
@@ -54,6 +52,7 @@ SWEEPABLE = {
     "coherent": ("alpha", "dim", "k"),
     "fock": ("n", "dim"),
 }
+FAMILIES = tuple(SWEEPABLE)
 _INT_PARAMS = {"M", "k", "n", "dim"}
 # supported range: integer size inputs and states of at most this many Fock
 # levels; the dense splitter alone holds _MAX_DIM^2 complex amplitudes
@@ -98,21 +97,15 @@ def _build_state(family: str, opts: dict):
     """Construct the requested state; returns (state, params_dict).
 
     params_dict holds the fully resolved parameters (e.g. the pinned L),
-    keyed by flag name, in a fixed order. Integer inputs above _MAX_DIM are
-    rejected before they size an array, and so is a state of more than
-    _MAX_DIM levels before anything is computed from it.
+    keyed by flag name, in a fixed order. The integer inputs were capped
+    when they were parsed; a state of more than _MAX_DIM levels is rejected
+    here, before anything is computed from it.
     """
-    for name in sorted(_INT_PARAMS):
-        if opts.get(name) is not None:
-            _check_size(f"--{name} {opts[name]}", int(opts[name]))
     state, params = _family_state(family, opts)
-    _check_size(f"a state of dimension {state.dim}", state.dim)
+    if state.dim > _MAX_DIM:
+        raise InvalidParams(f"a state of dimension {state.dim} exceeds the "
+                            f"supported {_MAX_DIM} Fock levels")
     return state, params
-
-
-def _check_size(what: str, size: int):
-    if size > _MAX_DIM:
-        raise InvalidParams(f"{what} exceeds the supported {_MAX_DIM} Fock levels")
 
 
 def _family_state(family: str, opts: dict):
@@ -145,12 +138,11 @@ def _family_state(family: str, opts: dict):
         k = int(opts.get("k") or 0)
         state = add_photons(coherent_truncated(alpha, int(dim)), k)
         return state, {"alpha": alpha, "dim": int(dim), "k": k}
-    if family == "fock":
-        need("n")
-        n = int(opts["n"])
-        dim = int(opts["dim"]) if opts.get("dim") is not None else n + 1
-        return fock(n, dim), {"n": n, "dim": dim}
-    raise InvalidParams(f"unknown family '{family}'")
+    # fock: argparse admits no other family
+    need("n")
+    n = int(opts["n"])
+    dim = int(opts["dim"]) if opts.get("dim") is not None else n + 1
+    return fock(n, dim), {"n": n, "dim": dim}
 
 
 def _auto_coherent_dim(alpha: float) -> int:
@@ -198,18 +190,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_most(cap: int):
-    """argparse type of a flag that sizes arrays: only integers up to cap
-    pass (exit 2), before anything is computed."""
+def _int_at_most(cap: int, what: str):
+    """argparse type of every integer input that sizes arrays: a finite
+    number with no fractional part and at most cap passes (exit 2
+    otherwise), before anything is computed. `what` names the counted unit."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _finite_float(text)
+        if not value.is_integer():
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
         if value > cap:
-            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected at most {cap} {what}, got {text}")
+        return int(value)
     return parse
+
+
+# the type of --M, --k, --n, --dim and of their integer --values
+_fock_levels = _int_at_most(_MAX_DIM, "Fock levels")
 
 
 # ---------------------------------------------------------------- commands
@@ -304,19 +300,11 @@ def _parse_values(param: str, raw: str):
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
     if not tokens:
         raise InvalidParams("--values must list at least one value")
-    out = []
-    for t in tokens:
-        try:
-            v = _finite_float(t)
-        except argparse.ArgumentTypeError as exc:
-            raise InvalidParams(f"--values: {exc}") from None
-        if param in _INT_PARAMS:
-            if v != int(v):
-                raise InvalidParams(f"parameter '{param}' takes integers, got {t}")
-            v = int(v)
-            _check_size(f"--values {param}={t}", v)
-        out.append(v)
-    return out
+    parse = _fock_levels if param in _INT_PARAMS else _finite_float
+    try:
+        return [parse(t) for t in tokens]
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidParams(f"--values: {exc}") from None
 
 
 def cmd_wigner(args) -> int:
@@ -336,12 +324,12 @@ def cmd_wigner(args) -> int:
     sidecar = {
         "family": args.family,
         "params": params,
-        "x_min": grid.x_min,
-        "x_max": grid.x_max,
-        "p_min": grid.p_min,
-        "p_max": grid.p_max,
-        "nx": grid.nx,
-        "np": grid.n_p,
+        "x_min": args.xmin,
+        "x_max": args.xmax,
+        "p_min": args.pmin,
+        "p_max": args.pmax,
+        "nx": args.nx,
+        "np": args.np,
         "w_min": float(grid.values.min()),
         "w_max": float(grid.values.max()),
         "integral": grid.integral(),
@@ -362,14 +350,14 @@ def _add_state_flags(p: argparse.ArgumentParser):
                    help="population parameter (default: pinned via --L-coeff)")
     p.add_argument("--L-coeff", dest="L_coeff", type=_finite_float, default=2.0,
                    help="L = coeff * max(M/eta, M/(1-eta)) when --L is absent")
-    p.add_argument("--M", type=int, default=None, help="dimension parameter")
+    p.add_argument("--M", type=_fock_levels, default=None, help="dimension parameter")
     p.add_argument("--eta", type=_finite_float, default=None,
                    help="probability in [0, 1]")
-    p.add_argument("--k", type=int, default=None, help="photons added")
+    p.add_argument("--k", type=_fock_levels, default=None, help="photons added")
     p.add_argument("--alpha", type=_finite_float, default=None,
                    help="coherent amplitude")
-    p.add_argument("--dim", type=int, default=None, help="basis truncation")
-    p.add_argument("--n", type=int, default=None, help="Fock level")
+    p.add_argument("--dim", type=_fock_levels, default=None, help="basis truncation")
+    p.add_argument("--n", type=_fock_levels, default=None, help="Fock level")
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
@@ -416,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--xmax", type=_finite_float, default=4.0)
     p_wig.add_argument("--pmin", type=_finite_float, default=-4.0)
     p_wig.add_argument("--pmax", type=_finite_float, default=4.0)
-    grid_nodes = _int_at_most(_MAX_GRID_NODES)
+    grid_nodes = _int_at_most(_MAX_GRID_NODES, "grid nodes")
     p_wig.add_argument("--nx", type=grid_nodes, default=101,
                        help=f"x nodes (at most {_MAX_GRID_NODES})")
     p_wig.add_argument("--np", type=grid_nodes, default=101,

@@ -348,23 +348,12 @@ def wigner_point(state: FockState, x: float, p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """W sampled on a rectangular grid; values[i, j] = W(x_i, p_j)."""
+    """W sampled on a rectangular grid; values[i, j] = W(x_nodes[i],
+    p_nodes[j]). All three arrays are read-only."""
 
-    x_min: float
-    x_max: float
-    p_min: float
-    p_max: float
-    nx: int
-    n_p: int
+    x_nodes: np.ndarray
+    p_nodes: np.ndarray
     values: np.ndarray
-
-    @property
-    def x_nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    @property
-    def p_nodes(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
 
     def integral(self) -> float:
         """Trapezoid estimate of the grid integral (should be ~1 when the
@@ -397,25 +386,23 @@ def wigner_grid(
     QuadratureNotConverged if any value is not finite."""
     if nx < 2 or n_p < 2:
         raise InvalidParams("grid needs at least 2 nodes per axis")
-    if not (x_min < x_max and p_min < p_max):
-        raise InvalidParams(f"grid window must be non-empty, got x in "
-                            f"[{x_min}, {x_max}] and p in [{p_min}, {p_max}]")
+    width, height = float(x_max) - float(x_min), float(p_max) - float(p_min)
+    window = f"x in [{x_min}, {x_max}] and p in [{p_min}, {p_max}]"
+    if not (width > 0.0 and height > 0.0):
+        raise InvalidParams(f"grid window must be non-empty, got {window}")
+    # a finite area keeps the node spacings finite, and the trapezoid
+    # integral, which is at most area / pi
+    if not math.isfinite(width * height):
+        raise InvalidParams(f"grid window must have a finite width and area, got {window}")
     xs = np.linspace(x_min, x_max, nx)
     ps = np.linspace(p_min, p_max, n_p)
     values = _wigner_array(state.amplitudes, xs[:, None], ps[None, :])
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise QuadratureNotConverged(f"{bad} of {values.size} grid values of W are not finite")
-    values.setflags(write=False)
-    return WignerGrid(
-        x_min=float(x_min),
-        x_max=float(x_max),
-        p_min=float(p_min),
-        p_max=float(p_max),
-        nx=int(nx),
-        n_p=int(n_p),
-        values=values,
-    )
+    for a in (xs, ps, values):
+        a.setflags(write=False)
+    return WignerGrid(xs, ps, values)
 
 
 # 8 entries hold every sub-panel count the oracle asks for (8 to 128 by

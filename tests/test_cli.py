@@ -281,6 +281,14 @@ def test_high_fock_states_run(capsys, tmp_path, argv):
     assert all(math.isfinite(v) for v in json.loads(out).get("measures", {}).values())
 
 
+def test_integer_flags_take_whole_numbers_in_any_notation(capsys):
+    # as --values reads them: 4.0 is 4 and 1e3 is 1000
+    base = ("state", "pahs", "--eta", "0.3")
+    assert run_cli(capsys, *base, "--M", "4.0") == run_cli(capsys, *base, "--M", "4")
+    code, out, _ = run_cli(capsys, "state", "fock", "--n", "1e3")
+    assert code == 0 and json.loads(out)["params"] == {"n": 1000, "dim": 1001}
+
+
 def test_largest_supported_state_runs(capsys):
     code, out, _ = run_cli(capsys, "state", "pahs", "--M", "1000", "--eta", "0.3")
     assert code == 0
@@ -310,8 +318,9 @@ def test_unconverged_quadrature_exit_code(capsys):
 
 
 def test_wln_refines_until_its_error_estimate_meets_the_tolerance(capsys):
-    # this state meets the default tolerance with its first sub-panels and
-    # needs more radial nodes, at the same 256 angles, for 1e-5
+    # this state refines its first sub-panels at the default tolerance (615
+    # to 765 radial nodes), and
+    # needs more radial nodes still, at the same 256 angles, for 1e-5
     meta = {}
     for tolerance in ("1e-4", "1e-5"):
         code, out, _ = run_cli(
@@ -472,6 +481,12 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         ("measures pahs --M 100000000000 --eta 0.3 --measures mu", "1001 Fock levels"),
         ("measures pahs --M 1000 --eta 0.3 --k 1 --measures mu", "1001 Fock levels"),
         ("measures fock --n 1001 --measures mu", "1001 Fock levels"),
+        # integer inputs are read as numbers with no fractional part
+        ("measures pahs --M 2.5 --eta 0.3 --measures mu", "expected an integer"),
+        ("sweep pahs --M 4 --eta 0.3 --param k --values 1.5 --out {tmp}/x.csv",
+         "expected an integer"),
+        ("sweep pahs --M 4 --eta 0.3 --param k --values , --out {tmp}/x.csv",
+         "at least one value"),
         ("measures coherent --alpha 300", "truncation"),
         # alpha^2 and 12 alpha overflow
         ("measures coherent --alpha 1e308", "truncation"),
@@ -483,11 +498,19 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
         # grid node counts above their caps, checked before any array is sized
         ("wigner fock --n 1 --nx 1002 --np 5 --out {tmp}/g.csv", "at most 1001"),
         ("wigner fock --n 1 --nx 5 --np 1002 --out {tmp}/g.csv", "at most 1001"),
+        ("wigner fock --n 1 --nx 1 --np 5 --out {tmp}/g.csv", "at least 2 nodes"),
+        ("wigner fock --n 1 --nx abc --out {tmp}/g.csv", "finite number"),
         # reversed and empty grid windows
         ("wigner pahs --M 4 --eta 0.3 --nx 21 --np 21 --xmin 6 --xmax -6 "
          "--out {tmp}/g.csv", "non-empty"),
         ("wigner fock --n 1 --xmin 1 --xmax 1 --out {tmp}/g.csv", "non-empty"),
         ("wigner fock --n 1 --pmin 2 --pmax -2 --out {tmp}/g.csv", "non-empty"),
+        # windows whose area, or width, overflows: the trapezoid integral
+        # and the node spacing would not be finite
+        ("wigner fock --n 1 --nx 5 --np 5 --xmin=-1e200 --xmax=1e200 --pmin=-1e200 "
+         "--pmax=1e200 --out {tmp}/g.csv", "finite width and area"),
+        ("wigner fock --n 1 --nx 5 --np 5 --xmin=-1.7e308 --xmax=1.7e308 "
+         "--out {tmp}/g.csv", "finite width and area"),
         # the WLN node counts are not settings
         ("measures fock --n 1 --measures wln --quad-nodes 512",
          "unrecognized arguments"),

@@ -41,6 +41,12 @@ def test_fockstate_rejects_unnormalized():
         FockState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("amps", [np.ones((1, 1)), np.zeros(0)])
+def test_fockstate_rejects_a_non_vector(amps):
+    with pytest.raises(ValueError, match="nonempty 1-d vector"):
+        FockState(amps)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_fockstate_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match="not unit-norm"):

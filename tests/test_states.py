@@ -62,6 +62,16 @@ def test_log_binomial_negative_factor_raises():
         log_binomial_real(4.5, 6)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: log_binomial_real(3.0, -1), "nonnegative integer"),
+    (lambda: binomial(-1, 0.5), "nonnegative integer"),
+    (lambda: coherent_truncated(1.0, 0), "positive integer"),
+])
+def test_negative_or_empty_sizes_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_log_binomial_prefix_consistent_with_scalar():
     for x in (9.0, 17.3, 0.0, 4.0):
         pre = _log_binomial_prefix(x, 8)

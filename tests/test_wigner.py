@@ -272,10 +272,7 @@ def test_wln_honours_tight_tolerances(M, eta, k):
     want = _polar_reference_wln(s, 2048)
     assert abs(_polar_reference_wln(s, 4096) - want) <= 1e-8
     for tolerance in (1e-6, 1e-7):
-        try:
-            got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=tolerance))
-        except QuadratureNotConverged:
-            continue
+        got = wigner_log_negativity_detailed(s, QuadratureSpec(wln_tolerance=tolerance))
         assert got.refinement_delta <= tolerance
         assert abs(got.value - want) <= tolerance
 
